@@ -1,20 +1,32 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests, lint (ruff + the custom repro.analysis pass),
-# the whole-program flow analysis (call-graph hotness, determinism
-# taint, stage contracts, worker pickle safety),
-# a short fully-sanitized end-to-end simulation, a 2-worker sweep smoke
-# that asserts the result cache serves a warm rerun in full, an
-# overload smoke that drives 3 submitters through a fair-share server
-# with a 1-slot admission budget, a chaos
-# smoke that asserts a fault-injected sweep (worker kills/hangs, cache
-# corruption) still matches the fault-free golden run, and a perf gate
-# that fails on a >15% cycles/s regression vs BENCH_sim_speed.json.
+# CI gate, in order:
+#   - tier-1 tests;
+#   - the end-to-end benchmark's tests at smoke scale, which check the
+#     golden result digests (benchmarks/e2e);
+#   - lint: ruff (when installed) and the repro.analysis pass;
+#   - whole-program flow analysis (call-graph hotness, determinism
+#     taint, stage contracts, worker pickle safety);
+#   - static concurrency analysis (races);
+#   - a pinned 25-mutant mutation smoke;
+#   - a short fully-sanitized end-to-end simulation;
+#   - a 2-worker sweep smoke asserting the result cache serves a warm
+#     rerun in full;
+#   - a loopback serve smoke, and an overload smoke that drives 3
+#     submitters through a fair-share server with a 1-slot budget;
+#   - a chaos smoke asserting a fault-injected sweep (worker
+#     kills/hangs, cache corruption) matches the fault-free golden run;
+#   - a perf gate that fails on a >15% cycles/s regression vs
+#     BENCH_sim_speed.json.
 set -euo pipefail
 cd "$(dirname "$0")"
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo "== end-to-end benchmark tests (smoke scale, golden digests) =="
+# benchmarks/e2e is outside tier-1's testpaths; under 30 s.
+python -m pytest benchmarks/e2e -q
 
 echo "== lint: ruff (generic hygiene) =="
 if command -v ruff >/dev/null 2>&1; then

@@ -28,6 +28,7 @@ from repro.config.machine import (
     MemoryConfig,
 )
 from repro.metrics.ipc import SimResult
+from repro.trace.profiles import ALL_BENCHMARKS, PROFILES
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,6 +59,28 @@ class SimJob:
     def __post_init__(self) -> None:
         # Normalise so hashing and pickling see one canonical form.
         object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
+        # Reject here, not in a worker: a job that ran with a bad input
+        # would fail late or, worse, be cached and journalled.
+        if not self.benchmarks:
+            raise ValueError("SimJob needs at least one benchmark")
+        unknown = [b for b in self.benchmarks if b not in PROFILES]
+        if unknown:
+            raise ValueError(
+                f"unknown benchmark(s) {', '.join(map(repr, unknown))}; "
+                f"expected names from {', '.join(ALL_BENCHMARKS)}"
+            )
+        if self.max_insns <= 0:
+            raise ValueError(
+                f"max_insns must be positive, got {self.max_insns}"
+            )
+        if self.max_cycles <= 0:
+            raise ValueError(
+                f"max_cycles must be positive, got {self.max_cycles}"
+            )
+        if self.warmup is not None and self.warmup < 0:
+            raise ValueError(
+                f"warmup must be non-negative or None, got {self.warmup}"
+            )
 
     # ------------------------------------------------------------------
     # content addressing

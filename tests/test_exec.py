@@ -3,13 +3,15 @@
 Covers the determinism guarantee (jobs=1 vs jobs=4 byte-identical over
 a >= 12-point grid), every cache path (hit / miss / corrupt entry /
 schema mismatch), worker-crash retry and per-job timeout, content-hash
-stability, and the slot-trace memoisation in the runner.
+stability, input validation at job construction, and the slot-trace
+memoisation in the runner.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.experiments.runner import (
     thread_traces,
 )
 from repro.experiments.sweep import run_sweep
+from repro.pipeline.smt_core import clear_warm_state_cache
 from repro.workloads.mixes import TWO_THREAD_MIXES
 
 CFG = small_machine()
@@ -43,6 +46,46 @@ def tiny_job(seed: int = 0, **job_kwargs) -> SimJob:
         benchmarks=("parser", "vortex"), config=CFG, max_insns=INSNS,
         seed=seed, **job_kwargs,
     )
+
+
+def forged_bad_job() -> SimJob:
+    """A job that fails inside ``run()``: construction rejects unknown
+    benchmark names, so one is swapped in after validation to reach the
+    executor's failure path."""
+    job = tiny_job()
+    object.__setattr__(job, "benchmarks", ("no_such_benchmark",))
+    return job
+
+
+# ----------------------------------------------------------------------
+# SimJob input validation
+# ----------------------------------------------------------------------
+class TestSimJobValidation:
+    def test_rejects_empty_benchmarks(self):
+        with pytest.raises(ValueError, match="at least one benchmark"):
+            SimJob(benchmarks=(), config=CFG)
+
+    def test_rejects_unknown_benchmark(self):
+        with pytest.raises(ValueError, match="unknown benchmark.*'nope'"):
+            SimJob(benchmarks=("parser", "nope"), config=CFG)
+
+    @pytest.mark.parametrize("max_insns", [0, -5])
+    def test_rejects_non_positive_max_insns(self, max_insns):
+        with pytest.raises(ValueError, match="max_insns must be positive"):
+            SimJob(benchmarks=("parser",), config=CFG, max_insns=max_insns)
+
+    def test_rejects_non_positive_max_cycles(self):
+        # max_cycles=0 used to "succeed" with 0 cycles and 0 committed.
+        with pytest.raises(ValueError, match="max_cycles must be positive"):
+            tiny_job(max_cycles=0)
+
+    def test_rejects_negative_warmup(self):
+        with pytest.raises(ValueError, match="warmup must be non-negative"):
+            tiny_job(warmup=-1)
+
+    def test_zero_warmup_and_default_warmup_accepted(self):
+        assert tiny_job(warmup=0).warmup == 0
+        assert tiny_job().warmup is None
 
 
 # ----------------------------------------------------------------------
@@ -282,8 +325,7 @@ class TestExecuteJobs:
         assert report.cached == 1 and report.simulated == 2
 
     def test_in_process_failure_raises_after_retries(self):
-        bad = SimJob(benchmarks=("no_such_benchmark",), config=CFG,
-                     max_insns=INSNS, seed=0)
+        bad = forged_bad_job()
         with pytest.raises(ExecutionError) as err:
             execute_jobs([bad], ExecutorConfig(jobs=1, retries=2))
         assert "no_such_benchmark" in str(err.value)
@@ -293,8 +335,7 @@ class TestExecuteJobs:
     def test_worker_failure_raises_after_retries(self):
         # The trace profile lookup raises inside the worker process; the
         # error must be serialised back and the job retried (bounded).
-        bad = SimJob(benchmarks=("no_such_benchmark",), config=CFG,
-                     max_insns=INSNS, seed=0)
+        bad = forged_bad_job()
         ok = tiny_job()
         with pytest.raises(ExecutionError) as err:
             execute_jobs([bad, ok], ExecutorConfig(jobs=2, retries=1))
@@ -314,7 +355,11 @@ class TestExecuteJobs:
         assert "crashed" in str(err.value)
         assert err.value.report.retried >= 1
 
-    def test_per_job_timeout(self):
+    def test_per_job_timeout(self, monkeypatch):
+        # A job that outlives its timeout, whatever the simulator's speed
+        # (fork inherits the patch). Warm memos inherited from this
+        # process would otherwise let a real tiny job beat the first poll.
+        monkeypatch.setattr(SimJob, "run", lambda self: time.sleep(30))
         with pytest.raises(ExecutionError) as err:
             execute_jobs(
                 [tiny_job(), tiny_job(seed=1)],
@@ -386,6 +431,7 @@ class TestSweepIntegration:
 class TestSlotTraceMemo:
     def test_traces_are_memoised_across_calls(self):
         clear_slot_trace_cache()
+        clear_warm_state_cache()
         warmup = default_warmup(INSNS)
         first = thread_traces(["parser", "vortex"], INSNS, 0, warmup)
         second = thread_traces(["parser", "vortex"], INSNS, 0, warmup)
@@ -394,6 +440,7 @@ class TestSlotTraceMemo:
 
     def test_distinct_slots_get_distinct_traces(self):
         clear_slot_trace_cache()
+        clear_warm_state_cache()
         warmup = default_warmup(INSNS)
         a, b = thread_traces(["parser", "parser"], INSNS, 0, warmup)
         assert a is not b
@@ -406,4 +453,5 @@ class TestSlotTraceMemo:
         thread_traces(["parser"], INSNS, 0, warmup)
         assert runner_mod._SLOT_TRACE_CACHE
         clear_slot_trace_cache()
+        clear_warm_state_cache()
         assert not runner_mod._SLOT_TRACE_CACHE

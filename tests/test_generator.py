@@ -4,6 +4,7 @@ import pytest
 
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import FP_BASE, NO_REG, is_zero_reg
+from repro.pipeline.smt_core import clear_warm_state_cache
 from repro.trace.generator import (
     Trace,
     clear_trace_cache,
@@ -15,8 +16,10 @@ from repro.trace.profiles import BenchmarkProfile, get_profile, _int_mix
 @pytest.fixture(autouse=True)
 def fresh_cache():
     clear_trace_cache()
+    clear_warm_state_cache()
     yield
     clear_trace_cache()
+    clear_warm_state_cache()
 
 
 def gen(name="gzip", n=5000, seed=1):

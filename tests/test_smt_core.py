@@ -4,7 +4,8 @@ import pytest
 
 from repro.config.presets import small_machine, tiny_machine
 from repro.isa.opcodes import OpClass
-from repro.pipeline.smt_core import SMTProcessor
+import repro.pipeline.smt_core as smt_core
+from repro.pipeline.smt_core import SMTProcessor, clear_warm_state_cache
 from tests.trace_builder import TraceBuilder
 
 
@@ -358,3 +359,35 @@ class TestInvariants:
         assert stats.fetched >= stats.renamed >= stats.committed_total
         assert stats.issued >= stats.committed_total
         assert stats.committed_total == len(trace.op)
+
+
+class TestWarmStateMemo:
+    """The memo bound. Its other tests are in tests/test_warmstate.py;
+    this one sits among the mutation oracle's pinned tests, which see
+    nothing else of a bound off by one."""
+
+    def test_fifo_eviction_at_the_bound(self, monkeypatch):
+        clear_warm_state_cache()
+        builds = [0]  # cold builds: _install_residency calls
+        install = SMTProcessor._install_residency
+
+        def counting(core):
+            builds[0] += 1
+            install(core)
+
+        monkeypatch.setattr(SMTProcessor, "_install_residency", counting)
+        cfg = tiny_machine()
+        limit = smt_core._WARM_STATE_MAX
+        traces = [TraceBuilder().nops(8).build() for _ in range(limit + 1)]
+        try:
+            for trace in traces:
+                SMTProcessor(cfg, [trace])
+            assert len(smt_core._WARM_STATE) == limit
+            assert builds[0] == limit + 1
+            SMTProcessor(cfg, [traces[1]])  # oldest survivor: a hit
+            assert builds[0] == limit + 1
+            SMTProcessor(cfg, [traces[0]])  # evicted first: a miss
+            assert builds[0] == limit + 2
+            assert len(smt_core._WARM_STATE) == limit
+        finally:
+            clear_warm_state_cache()
