@@ -5,7 +5,7 @@ export PYTHONPATH
 
 .PHONY: test lint flow races check-fast mutate mutate-smoke sanitize-smoke \
 	bench-sanitizer figures figures-parallel cache-clear cache-verify \
-	chaos-smoke serve-smoke serve-overload-smoke profile perf-bench \
+	chaos-smoke serve-smoke profile perf-bench \
 	perf-gate ci
 
 test:
@@ -89,14 +89,6 @@ chaos-smoke:
 # REPRO_CHAOS (incl. net_drop/net_dup/net_delay) for a fault drill.
 serve-smoke:
 	python -m repro.serve smoke --workers 2
-
-# Overload drill: 3 submitters race the same 1-slot job budget through
-# a fair-share server; asserts backpressure engages (at least one
-# "queued" admission), every submitter completes byte-identically to
-# its golden run, no submitter is starved, and a warm resubmission
-# simulates nothing (docs/distributed.md, "Operating under load").
-serve-overload-smoke:
-	python -m repro.serve overload-smoke
 
 # cProfile hotspots + per-stage wall-clock breakdown of the cycle loop
 # (docs/performance.md).

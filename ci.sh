@@ -11,8 +11,7 @@
 #   - a short fully-sanitized end-to-end simulation;
 #   - a 2-worker sweep smoke asserting the result cache serves a warm
 #     rerun in full;
-#   - a loopback serve smoke, and an overload smoke that drives 3
-#     submitters through a fair-share server with a 1-slot budget;
+#   - a loopback serve smoke;
 #   - a chaos smoke asserting a fault-injected sweep (worker
 #     kills/hangs, cache corruption) matches the fault-free golden run;
 #   - a perf gate that fails on a >15% cycles/s regression vs
@@ -115,14 +114,6 @@ echo "== serve smoke (loopback sweep server + 2 worker agents) =="
 # byte-for-byte and the warm re-submission simulates nothing — the
 # shared cache served it in full (docs/distributed.md).
 python -m repro.serve smoke --workers 2
-
-echo "== serve overload smoke (3 submitters vs a 1-slot budget) =="
-# Saturates a fair-share server with 3 concurrent submitters against a
-# deliberately tiny in-flight budget: admission control must queue the
-# overflow (not drop it), every submitter must finish byte-identically
-# to its golden run with no starvation, and a warm resubmission must
-# simulate nothing (docs/distributed.md, "Operating under load").
-python -m repro.serve overload-smoke
 
 echo "== chaos smoke (worker kills + hangs + cache corruption) =="
 # Deterministic fault injection: the chaotic run must finish and be

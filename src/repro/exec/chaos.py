@@ -41,15 +41,14 @@ machinery re-shards the job, and the headline invariant still holds:
 the sweep's results are byte-identical to a fault-free single-host run
 (``tests/test_serve.py``).
 
-Two further serve-side faults exercise the *overload* machinery:
-``net_refuse`` makes a client connection attempt fail with a refusal
-(as if the server were down or its listen backlog full), keyed by
-``(site, server, attempt)`` so client backoff retries converge; and
-``slow`` makes a worker *heartbeat-but-slow* — it keeps beating (so
-the hang watchdog stays quiet) yet sits on the job for
-``slow_seconds`` before running it, which only the per-job deadline
-can reap. Together they drive the client circuit breaker, fair-share
-backpressure and degraded-mode fallback paths.
+Two further serve-side faults: ``net_refuse`` makes a client
+connection attempt fail with a refusal (as if the server were down or
+its listen backlog full), keyed by ``(site, server, attempt)`` so
+client backoff retries converge; and ``slow`` makes a worker
+*heartbeat-but-slow* — it keeps beating (so the hang watchdog stays
+quiet) yet sits on the job for ``slow_seconds`` before running it,
+which only the per-job deadline can reap. Together they drive the
+client's retry/backoff path and the server's per-job deadline.
 """
 
 from __future__ import annotations

@@ -79,7 +79,9 @@ class ExecReport:
             "retried": self.retried,
             "run_id": self.run_id,
             "failures": [
-                {"job": f.job.describe(), "message": f.message}
+                {"job": f.job.describe(),
+                 "fingerprint": f.job.fingerprint_payload(),
+                 "message": f.message}
                 for f in self.job_failures
             ],
         }

@@ -160,16 +160,26 @@ class ExecutorConfig:
     #: server's worker fleet; ``jobs``/``timeout``/``watchdog`` become
     #: server-side concerns. See docs/distributed.md.
     server: str | None = None
-    #: Submitter id attached to remote submissions (fair-share
-    #: attribution on the server); None submits anonymously.
-    submitter: str | None = None
-    #: Degraded mode: when the remote client's circuit breaker gives
-    #: up on ``server`` (repeated connection refusals / 429s), fall
-    #: back to executing locally against the same ``cache_dir`` and
-    #: ``journal_dir`` instead of raising. Byte-identical results by
-    #: construction — content-addressed jobs do not care where they
-    #: run (test-enforced).
-    allow_local_fallback: bool = False
+
+    def __post_init__(self) -> None:
+        # Reject here, not in the farm: a non-positive timeout or
+        # watchdog would fail every pooled job as timed out or hung.
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if self.retries < 0:
+            raise ValueError(
+                f"retries must be non-negative, got {self.retries}"
+            )
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValueError(
+                f"timeout must be positive (None disables it), "
+                f"got {self.timeout}"
+            )
+        if self.watchdog is not None and self.watchdog <= 0:
+            raise ValueError(
+                f"watchdog must be positive (None disables it), "
+                f"got {self.watchdog}"
+            )
 
     @classmethod
     def from_env(cls, default_cache: bool = False) -> "ExecutorConfig":
@@ -183,10 +193,7 @@ class ExecutorConfig:
         ``REPRO_CHAOS`` configures fault injection (see
         :mod:`repro.exec.chaos`); ``REPRO_WATCHDOG`` overrides the hung
         -worker grace in seconds (``0`` disables); ``REPRO_SERVER``
-        routes execution to a remote sweep server;
-        ``REPRO_SUBMITTER`` names this client for the server's
-        fair-share accounting; ``REPRO_FALLBACK=1`` enables the
-        degraded-mode local fallback when the server is unreachable.
+        routes execution to a remote sweep server.
         """
         jobs = int(os.environ.get("REPRO_JOBS", "1"))
         cache_flag = os.environ.get("REPRO_CACHE")
@@ -206,11 +213,6 @@ class ExecutorConfig:
             chaos=ChaosConfig.from_env(),
             watchdog=watchdog,
             server=os.environ.get("REPRO_SERVER", "").strip() or None,
-            submitter=(os.environ.get("REPRO_SUBMITTER", "").strip()
-                       or None),
-            allow_local_fallback=(
-                os.environ.get("REPRO_FALLBACK", "0") not in ("", "0")
-            ),
         )
 
     def with_cache_dir(self, cache_dir: str | Path | None) -> "ExecutorConfig":
@@ -262,24 +264,10 @@ def execute_jobs(jobs: Sequence[SimJob],
         # Remote execution: the sweep server's ledger does the
         # journalling/caching server-side; imported lazily so local
         # execution never pays for the client.
-        from repro.serve.client import CircuitOpenError, SweepClient
+        from repro.serve.client import SweepClient
 
-        client = SweepClient(
-            cfg.server,
-            submitter=cfg.submitter or "anonymous",
-            chaos=cfg.chaos,
-        )
-        try:
-            results, report = client.execute(jobs, progress)
-        except CircuitOpenError:
-            if not cfg.allow_local_fallback:
-                raise
-            # Degraded mode: the breaker gave up on the server. Run
-            # the batch locally against the same cache and journal —
-            # content-addressed jobs yield byte-identical results
-            # regardless of where they execute (test-enforced).
-            return execute_jobs(jobs, replace(cfg, server=None),
-                                progress)
+        results, report = SweepClient(cfg.server, chaos=cfg.chaos).execute(
+            jobs, progress)
         if report.job_failures and not cfg.tolerate_failures:
             raise ExecutionError(report.job_failures, report)
         if cfg.tolerate_failures:

@@ -13,28 +13,24 @@ execution:
 * :mod:`repro.serve.worker`   — :class:`WorkerAgent`, the remote
   worker: rebuilds jobs from fingerprints, executes, ships
   checksummed results;
-* :mod:`repro.serve.policy`   — pluggable :class:`AllocationPolicy`
-  (consistent hash ring by default; least-loaded, LJF and weighted
-  fair-share variants) — all placement/ordering-only, never
-  result-affecting;
+* :mod:`repro.serve.policy`   — :func:`ring_assign`, the consistent
+  hash ring that places each job on a worker (placement only, never
+  result-affecting);
 * :mod:`repro.serve.protocol` / :mod:`repro.serve.http` — the NDJSON
   frame protocol (with deterministic network-fault injection) and the
   minimal stdlib HTTP layer;
-* :mod:`repro.serve.client`   — the synchronous client;
-  ``ExecutorConfig(server=...)`` (or ``REPRO_SERVER``) routes any
-  existing sweep through it unchanged. :class:`SweepClient` adds
-  seeded-backoff retries, a per-server :class:`CircuitBreaker` and
-  drop-surviving event streams on top of the one-shot calls;
+* :mod:`repro.serve.client`   — :class:`SweepClient`, the synchronous
+  client; ``ExecutorConfig(server=...)`` (or ``REPRO_SERVER``) routes
+  any existing sweep through it unchanged. It retries connection
+  failures and 503 with seeded backoff and survives dropped event
+  streams;
 * :mod:`repro.serve.cluster`  — :class:`LocalCluster`, the loopback
   server+workers harness used by tests, CI and ``make serve-smoke``.
 
-The server is overload-safe: an in-flight budget admits or queues
-submissions (429 + ``Retry-After`` beyond the bounded backlog), the
-``fair-share`` policy shares worker slots across submitters by
-weighted deficit round-robin, ``POST /v1/admin/drain`` (or SIGTERM
-under ``python -m repro.serve server``) winds the server down with the
-journal as the replication log, and ``GET /v1/health`` reports queue
-depth, per-submitter shares, worker liveness and drain state.
+``POST /v1/admin/drain`` (or SIGTERM under ``python -m repro.serve
+server``) winds the server down with the journal as the replication
+log, and ``GET /v1/health`` reports queue depth, worker liveness and
+drain state.
 
 The test-enforced headline invariant: a sweep executed by this service
 — with worker churn, dropped/duplicated/delayed messages, connection
@@ -45,46 +41,18 @@ nothing. See docs/distributed.md.
 """
 
 from repro.serve.client import (
-    CircuitBreaker,
-    CircuitOpenError,
     RetryPolicy,
     ServerError,
     SweepClient,
     SweepInterrupted,
-    cache_stats,
-    execute_remote,
-    fetch_results,
-    resume_remote,
-    stream_events,
-    submit,
 )
 from repro.serve.cluster import LocalCluster
-from repro.serve.policy import (
-    POLICIES,
-    AllocationPolicy,
-    FairSharePolicy,
-    HashRingPolicy,
-    LeastLoadedPolicy,
-    LJFPolicy,
-    QueueEntry,
-    WorkerView,
-    make_policy,
-    ring_assign,
-)
+from repro.serve.policy import ring_assign
 from repro.serve.server import Sweep, SweepServer
 from repro.serve.worker import WorkerAgent, run_worker
 
 __all__ = [
-    "POLICIES",
-    "AllocationPolicy",
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "FairSharePolicy",
-    "HashRingPolicy",
-    "LJFPolicy",
-    "LeastLoadedPolicy",
     "LocalCluster",
-    "QueueEntry",
     "RetryPolicy",
     "ServerError",
     "Sweep",
@@ -92,14 +60,6 @@ __all__ = [
     "SweepInterrupted",
     "SweepServer",
     "WorkerAgent",
-    "WorkerView",
-    "cache_stats",
-    "execute_remote",
-    "fetch_results",
-    "make_policy",
-    "resume_remote",
     "ring_assign",
     "run_worker",
-    "stream_events",
-    "submit",
 ]

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.serve server --port 8742 --cache-dir results/cache \\
-        --journal-dir results/journal --policy hash-ring
+        --journal-dir results/journal
 
     python -m repro.serve worker --connect http://host:8742 --slots 2
 
@@ -13,7 +13,6 @@ Usage::
     python -m repro.serve drain --server http://host:8742
 
     python -m repro.serve smoke --workers 2       # golden-match check
-    python -m repro.serve overload-smoke          # backpressure drill
 
 ``smoke`` is the distributed analogue of ``python -m repro.exec
 chaos-smoke``: it runs a small grid on a single host (the golden), then
@@ -22,18 +21,11 @@ results are byte-identical to the golden and the warm re-submission
 simulates nothing. ``REPRO_CHAOS`` (including the ``net_*`` knobs)
 applies to the cluster run, making this a one-command fault drill.
 
-``overload-smoke`` is the same idea for the overload machinery: N
-concurrent submitters race distinct grids into a server whose
-admission budget is a single job, and the drill fails unless
-backpressure engaged (at least one submission was queued), every
-submitter's results are byte-identical to its own single-host golden
-run, no submitter starved, and a warm resubmission simulates nothing.
-
 The server drains gracefully on SIGTERM (or ``drain``/the
 ``POST /v1/admin/drain`` endpoint): in-flight jobs get ``--drain-grace``
 seconds to finish, the rest are journalled as ``interrupted``, and a
 restarted server resumes them with zero re-simulation. See
-"Operating under load" in docs/distributed.md.
+"Drain, health and retry" in docs/distributed.md.
 """
 
 from __future__ import annotations
@@ -44,7 +36,6 @@ import tempfile
 
 from repro.exec.chaos import ChaosConfig
 from repro.exec.pool import ExecutorConfig, execute_jobs
-from repro.serve.policy import POLICIES
 
 
 def _cmd_server(args: argparse.Namespace) -> int:
@@ -56,11 +47,10 @@ def _cmd_server(args: argparse.Namespace) -> int:
     server = SweepServer(
         host=args.host, port=args.port,
         cache_dir=args.cache_dir, journal_dir=args.journal_dir,
-        policy=args.policy, retries=args.retries,
+        retries=args.retries,
         timeout=args.timeout, heartbeat_grace=args.heartbeat_grace,
         chaos=ChaosConfig.from_env(),
         rotate_bytes=args.rotate_bytes,
-        max_in_flight=args.max_in_flight, max_queue=args.max_queue,
         drain_grace=args.drain_grace,
     )
 
@@ -87,10 +77,8 @@ def _cmd_server(args: argparse.Namespace) -> int:
             pass
         port = await server.start()
         print(f"sweep server listening on http://{args.host}:{port} "
-              f"(policy={server.policy.name}, "
-              f"cache={args.cache_dir or 'off'}, "
-              f"journal={args.journal_dir or 'off'}, "
-              f"budget={args.max_in_flight or 'unbounded'})")
+              f"(cache={args.cache_dir or 'off'}, "
+              f"journal={args.journal_dir or 'off'})")
         assert server._server is not None
         async with server._server:
             forever = asyncio.ensure_future(
@@ -119,8 +107,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.serve.client import SweepClient
 
-    client = SweepClient(args.server, submitter=args.submitter,
-                         weight=args.weight)
+    client = SweepClient(args.server)
     grid = {
         "profile": args.profile,
         "threads": args.threads,
@@ -132,8 +119,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     reply = client.submit({"grid": grid})
     sweep_id = reply["sweep"]
     print(f"sweep {sweep_id}: {reply['total']} job(s), "
-          f"status {reply['status']}, "
-          f"admission {reply.get('admission', 'admitted')}"
+          f"status {reply['status']}"
           f"{' (attached to in-flight run)' if reply['attached'] else ''}")
     for event in client.stream_events(sweep_id):
         kind = event.get("event")
@@ -157,24 +143,19 @@ def _cmd_drain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _smoke_jobs(insns: int, seed: int = 0) -> list:
+def _cmd_smoke(args: argparse.Namespace) -> int:
+    """Golden-match smoke across a loopback cluster (cold + warm)."""
     from repro.config.presets import small_machine
     from repro.exec.jobs import jobs_for_grid
+    from repro.serve.client import SweepClient
+    from repro.serve.cluster import LocalCluster
     from repro.workloads.mixes import TWO_THREAD_MIXES
 
     keyed = jobs_for_grid(
         TWO_THREAD_MIXES[:2], small_machine(),
-        ("traditional", "2op_ooo"), (8, 16), insns, seed,
+        ("traditional", "2op_ooo"), (8, 16), args.insns, 0,
     )
-    return [job for _, job in keyed]
-
-
-def _cmd_smoke(args: argparse.Namespace) -> int:
-    """Golden-match smoke across a loopback cluster (cold + warm)."""
-    from repro.serve.client import execute_remote
-    from repro.serve.cluster import LocalCluster
-
-    jobs = _smoke_jobs(args.insns)
+    jobs = [job for _, job in keyed]
     golden, _ = execute_jobs(jobs, ExecutorConfig(jobs=1))
 
     chaos = ChaosConfig.from_env()
@@ -182,15 +163,16 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
             tempfile.TemporaryDirectory() as journal_dir, \
             LocalCluster(
                 workers=args.workers, cache_dir=cache_dir,
-                journal_dir=journal_dir, policy=args.policy,
+                journal_dir=journal_dir,
                 # A dropped dispatch frame is only recovered by the
                 # per-job deadline, so keep it tight: smoke jobs run in
                 # well under a second each.
                 retries=8, timeout=10.0, heartbeat_grace=2.0,
                 chaos=chaos, respawn=chaos is not None,
             ) as cluster:
-        cold, cold_report = execute_remote(jobs, cluster.url)
-        warm, warm_report = execute_remote(jobs, cluster.url)
+        client = SweepClient(cluster.url)
+        cold, cold_report = client.execute(jobs)
+        warm, warm_report = client.execute(jobs)
 
     if [p.result for p in cold] != [p.result for p in golden]:
         print("serve smoke FAILED: cluster results differ from the "
@@ -213,103 +195,10 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
                   f"net_delay={chaos.net_delay_p:g})")
     print(
         f"ok: {cold_report.total}-point grid on {args.workers} "
-        f"worker(s) via {args.policy}{faults} — cold run simulated "
+        f"worker(s){faults} — cold run simulated "
         f"{cold_report.simulated} ({cold_report.retried} retried), "
         f"warm re-submission simulated 0, both byte-identical to the "
         "single-host golden run"
-    )
-    return 0
-
-
-def _cmd_overload_smoke(args: argparse.Namespace) -> int:
-    """Backpressure drill: concurrent submitters against a tiny job
-    budget must all complete byte-identically, fairly, and a warm
-    resubmission must simulate nothing."""
-    import threading
-
-    from repro.serve.client import SweepClient
-    from repro.serve.cluster import LocalCluster
-
-    grids = [_smoke_jobs(args.insns, seed=i)
-             for i in range(args.submitters)]
-    goldens = [execute_jobs(jobs, ExecutorConfig(jobs=1))[0]
-               for jobs in grids]
-
-    def run_all(cluster: LocalCluster, phase: str,
-                ) -> tuple[list, list, list[dict]]:
-        outs: list = [None] * len(grids)
-        reports: list = [None] * len(grids)
-        errors: list = []
-        replies: list[dict] = []
-
-        def submitter(i: int) -> None:
-            client = SweepClient(cluster.url, submitter=f"s{i}")
-            try:
-                reply = client.submit({"jobs": [
-                    j.fingerprint_payload() for j in grids[i]]})
-                replies.append(reply)
-                for _ in client.stream_events(str(reply["sweep"])):
-                    pass
-                outs[i], reports[i] = client.fetch_results(
-                    str(reply["sweep"]))
-            except Exception as exc:  # noqa: BLE001 - reported below
-                errors.append(f"{phase} submitter s{i}: {exc}")
-
-        threads = [threading.Thread(target=submitter, args=(i,))
-                   for i in range(len(grids))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            for line in errors:
-                print(f"overload smoke FAILED: {line}",
-                      file=sys.stderr)
-            raise SystemExit(1)
-        return outs, reports, replies
-
-    with tempfile.TemporaryDirectory() as cache_dir, \
-            tempfile.TemporaryDirectory() as journal_dir, \
-            LocalCluster(
-                workers=args.workers, cache_dir=cache_dir,
-                journal_dir=journal_dir, policy="fair-share",
-                retries=8, timeout=10.0, heartbeat_grace=2.0,
-                max_in_flight=args.budget, max_queue=args.queue,
-            ) as cluster:
-        cold, cold_reports, cold_replies = run_all(cluster, "cold")
-        warm, warm_reports, _ = run_all(cluster, "warm")
-        health = SweepClient(cluster.url).health()
-
-    for i, golden in enumerate(goldens):
-        for label, outs in (("cold", cold), ("warm", warm)):
-            if [p.result for p in outs[i]] != [p.result for p in golden]:
-                print(f"overload smoke FAILED: {label} results for "
-                      f"submitter s{i} differ from its single-host "
-                      f"golden run", file=sys.stderr)
-                return 1
-    if not any(r.get("admission") == "queued" for r in cold_replies):
-        print("overload smoke FAILED: no submission was queued — the "
-              f"budget of {args.budget} never engaged", file=sys.stderr)
-        return 1
-    warm_simulated = sum(r.simulated for r in warm_reports)
-    if warm_simulated:
-        print(f"overload smoke FAILED: warm resubmission simulated "
-              f"{warm_simulated} job(s); expected 0", file=sys.stderr)
-        return 1
-    shares = health.get("submitters", {})
-    starved = [f"s{i}" for i in range(len(grids))
-               if not shares.get(f"s{i}", {}).get("completed")]
-    if starved:
-        print(f"overload smoke FAILED: submitter(s) {starved} have no "
-              f"completions in /v1/health", file=sys.stderr)
-        return 1
-    total = sum(r.total for r in cold_reports)
-    print(
-        f"ok: {len(grids)} submitters x {total // len(grids)} jobs "
-        f"against a {args.budget}-slot budget on {args.workers} "
-        f"worker(s) — backpressure engaged, every submitter completed "
-        f"byte-identically to its golden run, warm resubmission "
-        f"simulated 0"
     )
     return 0
 
@@ -331,20 +220,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--journal-dir", default=None,
                    help="run-journal root (off when omitted; required "
                         "for resume)")
-    p.add_argument("--policy", choices=sorted(POLICIES),
-                   default="hash-ring")
     p.add_argument("--retries", type=int, default=2)
     p.add_argument("--timeout", type=float, default=300.0,
                    help="per-job deadline before re-dispatch, seconds")
     p.add_argument("--heartbeat-grace", type=float, default=5.0)
     p.add_argument("--rotate-bytes", type=int, default=4 * 1024 * 1024,
                    help="journal size-rotation threshold")
-    p.add_argument("--max-in-flight", type=int, default=None,
-                   help="admission budget: unresolved jobs beyond this "
-                        "are queued (unbounded when omitted)")
-    p.add_argument("--max-queue", type=int, default=None,
-                   help="backlog headroom past the budget before "
-                        "submissions get 429 (unbounded when omitted)")
     p.add_argument("--drain-grace", type=float, default=10.0,
                    help="seconds in-flight jobs get to finish on "
                         "drain/SIGTERM before being journalled as "
@@ -367,11 +248,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--iq-sizes", default="8,16")
     p.add_argument("--insns", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--submitter", default="anonymous",
-                   help="submitter id for the server's fair-share "
-                        "accounting")
-    p.add_argument("--weight", type=float, default=1.0,
-                   help="fair-share weight of this submitter")
 
     p = sub.add_parser("drain", help="gracefully drain a server")
     p.add_argument("--server", required=True)
@@ -385,22 +261,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument("--insns", type=int, default=400)
     p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--policy", choices=sorted(POLICIES),
-                   default="hash-ring")
-
-    p = sub.add_parser(
-        "overload-smoke",
-        help="assert concurrent submitters against a tiny job budget "
-             "all complete fairly, byte-identically and with zero "
-             "re-simulation on resubmit",
-    )
-    p.add_argument("--insns", type=int, default=300)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--submitters", type=int, default=3)
-    p.add_argument("--budget", type=int, default=1,
-                   help="server --max-in-flight")
-    p.add_argument("--queue", type=int, default=64,
-                   help="server --max-queue")
 
     args = parser.parse_args(argv)
     if args.command == "server":
@@ -411,8 +271,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_submit(args)
     if args.command == "drain":
         return _cmd_drain(args)
-    if args.command == "overload-smoke":
-        return _cmd_overload_smoke(args)
     return _cmd_smoke(args)
 
 

@@ -1,33 +1,25 @@
 """Synchronous client for the sweep server.
 
-This is the glue that makes remote execution invisible to callers:
-:func:`execute_remote` has the same contract as the local half of
-:func:`repro.exec.pool.execute_jobs` — submit the batch, stream
-progress, fetch ordered results, return ``(payloads, ExecReport)`` —
-so setting ``ExecutorConfig(server=...)`` (or ``REPRO_SERVER``) is the
-*only* change a sweep, figure driver or benchmark needs to run on a
-cluster.
+:class:`SweepClient` is the glue that makes remote execution invisible
+to callers: :meth:`SweepClient.execute` has the same contract as the
+local half of :func:`repro.exec.pool.execute_jobs` — submit the batch,
+stream progress, fetch ordered results, return
+``(payloads, ExecReport)`` — so setting ``ExecutorConfig(server=...)``
+(or ``REPRO_SERVER``) is the *only* change a sweep, figure driver or
+benchmark needs to run on a cluster.
 
 Built on stdlib ``http.client`` (the callers are synchronous; no
 event loop to integrate with). Each call is one request; the event
 stream holds its connection open and yields NDJSON records until the
 server reports ``sweep-end``.
 
-Two layers:
-
-* the **module functions** (:func:`submit`, :func:`stream_events`,
-  :func:`execute_remote`, ...) are one-shot: any connection failure or
-  error status raises :class:`ServerError` immediately;
-* :class:`SweepClient` wraps them in overload-aware retry machinery —
-  deterministic seeded exponential backoff with jitter
-  (:class:`RetryPolicy`), ``Retry-After``-honouring 429 handling, a
-  per-server circuit breaker (:class:`CircuitBreaker`) that stops
-  hammering a refusing/overloaded server, and an event stream that
-  survives mid-stream connection drops by reconnecting and skipping
-  the replayed history. When the breaker is open, calls fail fast
-  with :class:`CircuitOpenError` — which is what
-  ``ExecutorConfig.allow_local_fallback`` catches to degrade to local
-  execution against the same cache and journal.
+Every request retries connection failures and 503 (a draining server)
+with deterministic seeded exponential backoff (:class:`RetryPolicy`),
+honouring the server's ``Retry-After``, and raises the last
+:class:`ServerError` after ``RetryPolicy.attempts`` tries. Other error
+statuses (400, 404, 409) raise at once: retrying cannot help. The
+event stream survives mid-stream connection drops by reconnecting and
+skipping the replayed history.
 """
 
 from __future__ import annotations
@@ -36,10 +28,7 @@ import http.client
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
-from time import (  # repro: noqa[RPR001]
-    monotonic as _monotonic,
-    sleep as _sleep,
-)
+from time import sleep as _sleep  # repro: noqa[RPR001]
 
 from repro.exec.chaos import ChaosConfig
 from repro.exec.jobs import JobResult
@@ -49,6 +38,7 @@ from repro.exec.ledger import (
     JobFailure,
     ProgressFn,
 )
+from repro.serve.protocol import job_from_fingerprint
 from repro.serve.worker import parse_server_url
 from repro.util.rng import make_rng
 
@@ -58,7 +48,8 @@ class ServerError(RuntimeError):
 
     ``status`` is the HTTP status when the server answered (None for
     connection-level failures); ``retry_after`` is the server's
-    suggested wait in seconds when it sent one (429/503).
+    suggested wait in seconds when it sent one (a draining server's
+    503).
     """
 
     def __init__(self, message: str, *, status: int | None = None,
@@ -68,31 +59,11 @@ class ServerError(RuntimeError):
         self.retry_after = retry_after
 
 
-class CircuitOpenError(ServerError):
-    """The client's circuit breaker is open: too many consecutive
-    connection failures or 429s, and the cooldown has not elapsed.
-    Fails fast instead of queueing more load onto a struggling server;
-    ``ExecutorConfig.allow_local_fallback`` catches exactly this to
-    degrade to local execution."""
-
-
 class SweepInterrupted(ServerError):
     """The sweep was interrupted server-side (graceful drain) and will
     not finish on this server. Resubmitting the same grid — to a
     restarted server sharing the journal directory — resumes it with
     zero re-simulation."""
-
-
-@dataclass(frozen=True, slots=True)
-class _RemoteJob:
-    """Stand-in for a job that failed server-side: all the caller can
-    know (and all :class:`~repro.exec.pool.ExecutionError` needs) is
-    its description."""
-
-    description: str
-
-    def describe(self) -> str:
-        return self.description
 
 
 def _request(server: str, method: str, path: str,
@@ -143,26 +114,10 @@ def _request(server: str, method: str, path: str,
         conn.close()
 
 
-def submit(server: str, payload: dict) -> dict:
-    """POST one submission (``jobs``/``grid``/``resume`` vocabulary);
-    returns the server's ``{"sweep": ..., "status": ...}`` reply."""
-    return _request(server, "POST", "/v1/sweeps", payload)
-
-
-def sweep_status(server: str, sweep_id: str) -> dict:
-    return _request(server, "GET", f"/v1/sweeps/{sweep_id}")
-
-
-def cache_stats(server: str) -> dict:
-    """The server's shared-cache report (same structure as
-    ``python -m repro.exec cache stats --json``)."""
-    return _request(server, "GET", "/v1/cache")
-
-
-def stream_events(server: str, sweep_id: str,
-                  timeout: float | None = None) -> Iterator[dict]:
-    """Yield the sweep's NDJSON progress events; ends after
-    ``sweep-end`` (or on server EOF)."""
+def _stream_events(server: str, sweep_id: str,
+                   timeout: float | None = None) -> Iterator[dict]:
+    """Yield the sweep's NDJSON progress events over one connection;
+    ends after ``sweep-end`` (or on server EOF)."""
     host, port = parse_server_url(server)
     conn = http.client.HTTPConnection(host, port, timeout=timeout)
     try:
@@ -213,89 +168,14 @@ def _report_from_dict(raw: dict) -> ExecReport:
         run_id=raw.get("run_id"),
     )
     for failure in raw.get("failures", []):
+        # The submitted job itself, rebuilt from its fingerprint, so a
+        # remote failure keys (content_hash) exactly like a local one.
         report.job_failures.append(JobFailure(
-            job=_RemoteJob(str(failure.get("job", "?"))),
+            job=job_from_fingerprint(failure["fingerprint"]),
             message=str(failure.get("message", "failed remotely")),
         ))
     return report
 
-
-def fetch_results(server: str, sweep_id: str,
-                  ) -> tuple[list[object | None], ExecReport]:
-    """Ordered (positional) decoded results + final report of a
-    finished sweep."""
-    reply = _request(server, "GET", f"/v1/sweeps/{sweep_id}/results")
-    results: list[object | None] = []
-    for entry in reply.get("results", []):
-        results.append(None if entry is None else _decode_body(entry))
-    return results, _report_from_dict(reply.get("report", {}))
-
-
-def _pump_events(jobs: list, sweep_id: str, events: Iterator[dict],
-                 progress: ProgressFn | None) -> None:
-    """Drain a sweep's event stream, translating job outcomes into
-    :class:`ExecProgress` callbacks (shared by the one-shot and the
-    retrying client)."""
-    if progress is None:
-        for _ in events:
-            pass
-        return
-    by_hash = {job.content_hash(): job for job in jobs}
-    running = ExecReport(total=len(jobs), run_id=sweep_id)
-    for event in events:
-        kind = event.get("event")
-        if kind not in ("cached", "resumed", "simulated", "failed"):
-            continue
-        setattr(running, kind,
-                getattr(running, kind) + 1)
-        payload: object | None = None
-        if "body" in event:
-            payload = _decode_body(event)
-        job = by_hash.get(str(event.get("job", "")))
-        if job is None:
-            continue
-        progress(ExecProgress(
-            job=job,
-            payload=(payload if isinstance(payload, JobResult)
-                     else None),
-            outcome=str(kind),
-            report=running,
-        ))
-
-
-def execute_remote(jobs, server: str,
-                   progress: ProgressFn | None = None,
-                   ) -> tuple[list[object | None], ExecReport]:
-    """Run a batch on a sweep server; local-executor-shaped return.
-
-    Results come back positionally (one slot per job, None where it
-    failed terminally), decoded through the byte-stable codec — so a
-    remote sweep is indistinguishable from a local one to the caller.
-    One-shot: any failure raises immediately; :class:`SweepClient`
-    adds retry/backoff/breaker semantics on top of the same wire calls.
-    """
-    jobs = list(jobs)
-    fingerprints = [job.fingerprint_payload() for job in jobs]
-    reply = submit(server, {"jobs": fingerprints})
-    sweep_id = str(reply["sweep"])
-    _pump_events(jobs, sweep_id, stream_events(server, sweep_id),
-                 progress)
-    return fetch_results(server, sweep_id)
-
-
-def resume_remote(server: str, run_id: str,
-                  ) -> tuple[list[object | None], ExecReport]:
-    """Ask the server to resume an interrupted run from its journal."""
-    reply = submit(server, {"resume": run_id})
-    sweep_id = str(reply["sweep"])
-    for _ in stream_events(server, sweep_id):
-        pass
-    return fetch_results(server, sweep_id)
-
-
-# ----------------------------------------------------------------------
-# overload-aware client: backoff, circuit breaker, resilient streams
-# ----------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
@@ -304,9 +184,9 @@ class RetryPolicy:
     The delay for attempt ``n`` is ``min(cap, base * 2**n)`` scaled by
     a jitter factor drawn from ``make_rng(seed, "client-backoff",
     server, n)`` — a pure function of (seed, server, attempt), so two
-    runs of the same client behave identically while two *different*
-    submitters (different seeds) desynchronise instead of retrying in
-    lockstep (the thundering-herd fix).
+    runs of the same client behave identically while clients with
+    different seeds desynchronise instead of retrying in lockstep (the
+    thundering-herd fix).
     """
 
     #: Total tries per logical request (first try included).
@@ -318,7 +198,7 @@ class RetryPolicy:
     #: Fraction of the delay randomised away: the actual delay is
     #: uniform in ``[delay * (1 - jitter), delay]``.
     jitter: float = 0.5
-    #: Root seed for the jitter stream (per-submitter in practice).
+    #: Root seed for the jitter stream.
     seed: int = 0
 
     def delay(self, server: str, attempt: int) -> float:
@@ -328,92 +208,21 @@ class RetryPolicy:
         return raw * (1.0 - self.jitter * u)
 
 
-class CircuitBreaker:
-    """Per-server circuit breaker: closed → open → half-open.
-
-    ``threshold`` consecutive overload failures (connection refused,
-    429, 503) open the circuit; while open, requests fail fast with
-    :class:`CircuitOpenError` instead of adding load. After
-    ``cooldown`` seconds the breaker goes half-open and admits exactly
-    one probe request: success closes the circuit, failure re-opens it
-    for another cooldown. The clock is injectable so tests control
-    time.
-    """
-
-    def __init__(self, *, threshold: int = 3, cooldown: float = 1.0,
-                 clock=_monotonic) -> None:
-        self.threshold = threshold
-        self.cooldown = cooldown
-        self._clock = clock
-        self._failures = 0
-        self._opened_at: float | None = None
-        self._probing = False
-
-    @property
-    def state(self) -> str:
-        """"closed" | "open" | "half-open" (read-only diagnostic)."""
-        if self._opened_at is None:
-            return "closed"
-        if self._clock() - self._opened_at >= self.cooldown:
-            return "half-open"
-        return "open"
-
-    def allow(self) -> bool:
-        """Whether a request may proceed right now (a half-open
-        breaker admits a single probe at a time)."""
-        state = self.state
-        if state == "closed":
-            return True
-        if state == "half-open" and not self._probing:
-            self._probing = True
-            return True
-        return False
-
-    def record_success(self) -> None:
-        self._failures = 0
-        self._opened_at = None
-        self._probing = False
-
-    def record_failure(self) -> None:
-        was_open = self._opened_at is not None
-        self._probing = False
-        self._failures += 1
-        if was_open:
-            # Failed half-open probe: fresh cooldown.
-            self._opened_at = self._clock()
-        elif self._failures >= self.threshold:
-            self._opened_at = self._clock()
-
-    def force_open(self) -> None:
-        """Trip the breaker immediately (tests, admin tooling)."""
-        self._failures = max(self._failures, self.threshold)
-        self._opened_at = self._clock()
-        self._probing = False
-
-
-def _overload(exc: ServerError) -> bool:
-    """Whether a failure signals overload/unavailability (retryable,
-    counts toward the breaker) as opposed to a semantic error (400,
-    404, 409... — retrying cannot help, server is plainly alive)."""
-    return exc.status in (None, 429, 503)
+def _retryable(exc: ServerError) -> bool:
+    """Whether a failure means the server is unreachable or draining
+    (connection failure, 503) as opposed to a semantic error (400,
+    404, 409... — retrying cannot help, the server is plainly alive)."""
+    return exc.status in (None, 503)
 
 
 class SweepClient:
-    """Overload-aware synchronous client for one sweep server.
+    """Synchronous client for one sweep server.
 
-    Wraps the module-level one-shot calls with:
-
-    * retry with :class:`RetryPolicy` backoff on connection failures,
-      429 and 503 — honouring the server's ``Retry-After`` when it
-      exceeds the computed backoff;
-    * a :class:`CircuitBreaker` shared across the client's requests:
-      when open, calls raise :class:`CircuitOpenError` without
-      touching the network;
-    * a resilient event stream that reconnects after mid-stream drops
-      and skips the server's replayed history (the server replays all
-      events on reconnect — exactly-once delivery to the caller);
-    * submitter identity: every submission carries ``submitter`` and
-      ``weight`` for the server's fair-share accounting.
+    Every request retries with :class:`RetryPolicy` backoff on
+    connection failures and 503, honouring the server's
+    ``Retry-After`` when it exceeds the computed backoff; the event
+    stream reconnects after mid-stream drops and skips the server's
+    replayed history (exactly-once delivery to the caller).
 
     Safe to retry by construction: sweep ids are content-derived, so a
     resubmitted POST attaches to the live sweep instead of forking a
@@ -424,20 +233,12 @@ class SweepClient:
     """
 
     def __init__(self, server: str, *,
-                 submitter: str = "anonymous", weight: float = 1.0,
                  retry: RetryPolicy | None = None,
-                 breaker: CircuitBreaker | None = None,
                  timeout: float | None = None,
                  sleep=_sleep,
                  chaos: ChaosConfig | None = None) -> None:
         self.server = server
-        self.submitter = submitter
-        self.weight = weight
-        self.retry = retry if retry is not None else RetryPolicy(
-            seed=int.from_bytes(submitter.encode()[:4] or b"\0", "big")
-        )
-        self.breaker = (breaker if breaker is not None
-                        else CircuitBreaker())
+        self.retry = retry if retry is not None else RetryPolicy()
         self.timeout = timeout
         self._sleep = sleep
         self.chaos = chaos
@@ -445,13 +246,8 @@ class SweepClient:
     # -- request machinery ---------------------------------------------
     def _call(self, method: str, path: str,
               payload: object | None = None) -> dict:
-        last: ServerError | None = None
-        for attempt in range(self.retry.attempts):
-            if not self.breaker.allow():
-                raise CircuitOpenError(
-                    f"{method} {path}: circuit open for {self.server} "
-                    f"after repeated overload failures",
-                ) from last
+        attempt = 0
+        while True:
             try:
                 if (self.chaos is not None
                         and self.chaos.should_refuse(
@@ -459,46 +255,37 @@ class SweepClient:
                     raise ServerError(
                         f"{method} {path}: connection refused (chaos)"
                     )
-                reply = _request(self.server, method, path, payload,
-                                 timeout=self.timeout)
+                return _request(self.server, method, path, payload,
+                                timeout=self.timeout)
             except ServerError as exc:
-                if not _overload(exc):
+                if (not _retryable(exc)
+                        or attempt + 1 >= self.retry.attempts):
                     raise
-                self.breaker.record_failure()
-                last = exc
-                if attempt + 1 >= self.retry.attempts:
-                    break
                 delay = self.retry.delay(self.server, attempt)
                 if exc.retry_after is not None:
                     delay = max(delay, float(exc.retry_after))
                 self._sleep(delay)
-                continue
-            self.breaker.record_success()
-            return reply
-        assert last is not None
-        if not self.breaker.allow():
-            raise CircuitOpenError(
-                f"{method} {path}: circuit open for {self.server} "
-                f"after {self.retry.attempts} overload failures",
-            ) from last
-        raise last
+            attempt += 1
 
     # -- thin endpoint wrappers ----------------------------------------
     def submit(self, payload: dict) -> dict:
-        """POST one submission stamped with this client's submitter
-        identity (``jobs``/``grid``/``resume`` vocabulary)."""
-        stamped = dict(payload)
-        stamped.setdefault("submitter", self.submitter)
-        stamped.setdefault("weight", self.weight)
-        return self._call("POST", "/v1/sweeps", stamped)
+        """POST one submission (``jobs``/``grid``/``resume``
+        vocabulary); returns the server's ``{"sweep": ..., "status":
+        ...}`` reply."""
+        return self._call("POST", "/v1/sweeps", payload)
 
     def sweep_status(self, sweep_id: str) -> dict:
         return self._call("GET", f"/v1/sweeps/{sweep_id}")
 
     def health(self) -> dict:
-        """The server's ``/v1/health`` report (queue depth, shares,
-        worker liveness, drain state)."""
+        """The server's ``/v1/health`` report (state, queue depth,
+        worker liveness, sweep counts)."""
         return self._call("GET", "/v1/health")
+
+    def cache_stats(self) -> dict:
+        """The server's shared-cache report (same structure as
+        ``python -m repro.exec cache stats --json``)."""
+        return self._call("GET", "/v1/cache")
 
     def drain(self, grace: float | None = None) -> dict:
         """Ask the server to drain gracefully (see
@@ -519,8 +306,8 @@ class SweepClient:
         while True:
             emitted = 0
             try:
-                for event in stream_events(self.server, sweep_id,
-                                           timeout=self.timeout):
+                for event in _stream_events(self.server, sweep_id,
+                                            timeout=self.timeout):
                     emitted += 1
                     if emitted <= seen:
                         continue  # replayed history after reconnect
@@ -532,7 +319,7 @@ class SweepClient:
                         return
                 return  # server ended the stream without a terminator
             except ServerError as exc:
-                if not _overload(exc) and exc.status != 404:
+                if not _retryable(exc) and exc.status != 404:
                     raise
                 # 404 is retryable here: a drained server's replacement
                 # may not have seen the resubmission yet.
@@ -544,6 +331,8 @@ class SweepClient:
 
     def fetch_results(self, sweep_id: str,
                       ) -> tuple[list[object | None], ExecReport]:
+        """Ordered (positional) decoded results + final report of a
+        finished sweep."""
         reply = self._call("GET", f"/v1/sweeps/{sweep_id}/results")
         results: list[object | None] = []
         for entry in reply.get("results", []):
@@ -554,34 +343,47 @@ class SweepClient:
     # -- executor-shaped entry points ----------------------------------
     def execute(self, jobs, progress: ProgressFn | None = None,
                 ) -> tuple[list[object | None], ExecReport]:
-        """Run a batch remotely; same contract as
-        :func:`execute_remote` plus retry/backoff/breaker handling.
+        """Run a batch on the server; local-executor-shaped return.
+
+        Results come back positionally (one slot per job, None where it
+        failed terminally), decoded through the byte-stable codec — so
+        a remote sweep is indistinguishable from a local one to the
+        caller. Job outcomes on the event stream become
+        :class:`ExecProgress` callbacks.
 
         Raises :class:`SweepInterrupted` if the server drained before
         the sweep finished (resubmit — to the restarted server — to
-        resume), and :class:`CircuitOpenError` when the breaker gives
-        up on the server entirely.
+        resume), and :class:`ServerError` once the retry budget gives
+        up on the server.
         """
         jobs = list(jobs)
         fingerprints = [job.fingerprint_payload() for job in jobs]
         reply = self.submit({"jobs": fingerprints})
         sweep_id = str(reply["sweep"])
-        interrupted = False
-
-        def watch(events: Iterator[dict]) -> Iterator[dict]:
-            nonlocal interrupted
-            for event in events:
-                if event.get("event") == "sweep-interrupted":
-                    interrupted = True
-                yield event
-
-        _pump_events(jobs, sweep_id,
-                     watch(self.stream_events(sweep_id)), progress)
-        if interrupted:
-            raise SweepInterrupted(
-                f"sweep {sweep_id} was interrupted by a server drain; "
-                f"resubmit to resume from the journal"
-            )
+        by_hash = {job.content_hash(): job for job in jobs}
+        running = ExecReport(total=len(jobs), run_id=sweep_id)
+        for event in self.stream_events(sweep_id):
+            kind = event.get("event")
+            if kind == "sweep-interrupted":
+                raise SweepInterrupted(
+                    f"sweep {sweep_id} was interrupted by a server "
+                    f"drain; resubmit to resume from the journal"
+                )
+            if (progress is None or kind not in
+                    ("cached", "resumed", "simulated", "failed")):
+                continue
+            setattr(running, kind, getattr(running, kind) + 1)
+            job = by_hash.get(str(event.get("job", "")))
+            if job is None:
+                continue
+            payload = _decode_body(event) if "body" in event else None
+            progress(ExecProgress(
+                job=job,
+                payload=(payload if isinstance(payload, JobResult)
+                         else None),
+                outcome=str(kind),
+                report=running,
+            ))
         return self.fetch_results(sweep_id)
 
     def resume(self, run_id: str,

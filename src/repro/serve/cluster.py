@@ -6,7 +6,7 @@ topology — separate worker *processes* talking to a real socket server
 as a context manager::
 
     with LocalCluster(workers=2, cache_dir=..., journal_dir=...) as c:
-        results, report = execute_remote(jobs, c.url)
+        results, report = SweepClient(c.url).execute(jobs)
 
 The server runs its own asyncio loop on a daemon thread; workers are
 forked processes (like the local farm's) each running a
@@ -60,7 +60,6 @@ class LocalCluster:
                  slots: int = 1,
                  cache_dir: str | Path | None = None,
                  journal_dir: str | Path | None = None,
-                 policy: str = "hash-ring",
                  retries: int = 8,
                  timeout: float | None = 60.0,
                  heartbeat_grace: float = 5.0,
@@ -68,8 +67,6 @@ class LocalCluster:
                  rotate_bytes: int | None = None,
                  respawn: bool = False,
                  attach_timeout: float = _ATTACH_TIMEOUT,
-                 max_in_flight: int | None = None,
-                 max_queue: int | None = None,
                  drain_grace: float | None = None) -> None:
         self.num_workers = workers
         self.slots = slots
@@ -80,12 +77,10 @@ class LocalCluster:
         if drain_grace is not None:
             server_kwargs["drain_grace"] = drain_grace
         self.server = SweepServer(
-            cache_dir=cache_dir, journal_dir=journal_dir, policy=policy,
+            cache_dir=cache_dir, journal_dir=journal_dir,
             retries=retries, timeout=timeout,
             heartbeat_grace=heartbeat_grace, chaos=chaos,
-            rotate_bytes=rotate_bytes,
-            max_in_flight=max_in_flight, max_queue=max_queue,
-            **server_kwargs,
+            rotate_bytes=rotate_bytes, **server_kwargs,
         )
         self.url: str = ""
         self._loop: asyncio.AbstractEventLoop | None = None

@@ -32,7 +32,6 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
-    429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -122,7 +121,7 @@ def response_bytes(status: int, body: bytes,
                    content_type: str = "application/json",
                    headers: dict[str, str] | None = None) -> bytes:
     """One complete ``Connection: close`` response. ``headers`` adds
-    extra response headers (e.g. ``Retry-After`` on a 429/503)."""
+    extra response headers (e.g. ``Retry-After`` on a 503)."""
     reason = _REASONS.get(status, "Unknown")
     extra = "".join(f"{name}: {value}\r\n"
                     for name, value in (headers or {}).items())
@@ -153,8 +152,8 @@ async def send_error(writer: asyncio.StreamWriter, status: int,
                      headers: dict[str, str] | None = None,
                      **fields: object) -> None:
     """One structured error body: ``{"error": ..., **fields}`` — the
-    extra fields are how a 429 carries its machine-readable
-    ``retry_after``/queue occupancy alongside the header."""
+    extra fields carry machine-readable context (a drain's ``state``)
+    alongside the message."""
     await send_json(writer, status, {"error": message, **fields},
                     headers=headers)
 

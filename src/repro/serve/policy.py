@@ -1,44 +1,16 @@
-"""Pluggable job-to-worker allocation policies.
+"""Job-to-worker placement: a consistent hash ring.
 
-The server separates *what completes* from *where it runs*: every
-policy yields byte-identical sweep results (test-enforced), because a
-job's result depends only on its content, never its placement. Policies
-therefore only trade off locality and load balance:
+The server separates *what completes* from *where it runs*: a job's
+result depends only on its content, never its placement, so placement
+only trades off locality and load balance.
 
-``hash-ring`` (default)
-    Consistent hashing with virtual nodes over the job's content hash.
-    Placement is a pure function of (job hash, live worker set): when a
-    worker joins or leaves, only the ~1/N of jobs that the ring maps to
-    the changed worker move — every other job keeps its owner. That
-    stability is what makes worker churn cheap (only the dead worker's
-    in-flight jobs re-shard) and is property-tested with hypothesis.
-
-``least-loaded``
-    Greedy: dispatch to the attached worker with the most free slots.
-    Best raw utilisation for heterogeneous job costs; placement depends
-    on timing, so no affinity across runs.
-
-``ljf``
-    Longest-job-first queue ordering (the single-host farm's
-    anti-straggler heuristic, see :func:`repro.exec.pool.execute_jobs`)
-    combined with least-loaded placement.
-
-``fair-share``
-    Weighted deficit round-robin over *submitters*: each submitter's
-    pending jobs form a virtual queue, and every round each queue
-    earns ``weight x quantum`` of deficit to spend on its own jobs in
-    submission order. One huge grid can no longer starve a small one —
-    worker slots are shared in proportion to weight, which is the
-    paper's IQ lesson (a shared structure collapses under unregulated
-    contention; dispatch policy must arbitrate it) applied to the
-    server's shared job queue. Placement rides least-loaded.
-
-Every policy is **placement/ordering-only**: byte-identical sweep
-results under any policy is test-enforced, because a job's result
-depends only on its content, never on where or when it ran.
-
-Selection: ``python -m repro.serve server --policy NAME`` or
-:func:`make_policy`.
+Each job goes to the ring owner of its content hash (64 virtual nodes
+per worker on a SHA-256 ring). Placement is a pure function of (job
+hash, live worker set): when a worker joins or leaves, only the ~1/N
+of jobs that the ring maps to the changed worker move — every other
+job keeps its owner. That stability is what makes worker churn cheap
+(only the dead worker's in-flight jobs re-shard) and is
+property-tested with hypothesis.
 """
 
 from __future__ import annotations
@@ -46,45 +18,11 @@ from __future__ import annotations
 import bisect
 import hashlib
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 #: Virtual nodes per worker on the hash ring. More points smooth the
 #: per-worker share toward 1/N at the cost of ring size; 64 keeps the
 #: max/min share ratio under ~1.5 for small clusters.
 RING_REPLICAS = 64
-
-
-@dataclass(slots=True)
-class WorkerView:
-    """What a policy may know about one attached worker."""
-
-    name: str
-    #: Concurrent jobs the worker will run.
-    slots: int
-    #: Jobs currently dispatched to it and not yet resolved.
-    in_flight: int
-
-    @property
-    def free(self) -> int:
-        return self.slots - self.in_flight
-
-
-@dataclass(frozen=True, slots=True)
-class QueueEntry:
-    """What a policy may know about one queued job."""
-
-    hash: str
-    #: Relative cost estimate (``max_insns``-shaped, policy-agnostic).
-    cost: float
-    #: Submitter id carried in the submission that first enqueued the
-    #: job (dedup waiters from other submitters ride along for free).
-    submitter: str = "anonymous"
-    #: The submitter's fair-share weight (>= 0; 0 never starves — it
-    #: is clamped to a minimal share).
-    weight: float = 1.0
-    #: Server-wide enqueue sequence number: the submission-order
-    #: tiebreak every ordering falls back to.
-    seq: int = 0
 
 
 def _ring_point(label: str) -> int:
@@ -94,178 +32,21 @@ def _ring_point(label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def ring_assign(job_hash: str, worker_names: Sequence[str],
-                replicas: int = RING_REPLICAS) -> str:
+def ring_assign(job_hash: str, worker_names: Sequence[str]) -> str:
     """Pure consistent-hash assignment: the ring owner of ``job_hash``
-    among ``worker_names``.
+    among ``worker_names`` (what ``SweepServer`` dispatches by).
 
-    Exposed standalone so the stability property — adding a worker only
-    moves keys *to* the new worker; removing one only moves the removed
-    worker's keys — can be tested without a server.
+    Pure, so the stability property — adding a worker only moves keys
+    *to* the new worker; removing one only moves the removed worker's
+    keys — is tested without a server.
     """
     if not worker_names:
         raise ValueError("ring_assign needs at least one worker")
     points: list[tuple[int, str]] = []
     for name in worker_names:
-        for i in range(replicas):
+        for i in range(RING_REPLICAS):
             points.append((_ring_point(f"{name}#{i}"), name))
     points.sort()
     keys = [p for p, _ in points]
     idx = bisect.bisect_right(keys, _ring_point(job_hash)) % len(points)
     return points[idx][1]
-
-
-class AllocationPolicy:
-    """Strategy for ordering the queue and placing jobs on workers."""
-
-    name = "base"
-
-    def queue_order(self, pending: Sequence[QueueEntry]) -> list[str]:
-        """Dispatch order for the pending :class:`QueueEntry` items.
-        Default: submission order (enqueue sequence)."""
-        return [e.hash for e in sorted(pending, key=lambda e: e.seq)]
-
-    def pick_worker(self, job_hash: str, cost: float,
-                    workers: Sequence[WorkerView]) -> str | None:
-        """Worker to run ``job_hash`` on, or None to leave it queued
-        (no worker acceptable right now)."""
-        raise NotImplementedError
-
-
-class HashRingPolicy(AllocationPolicy):
-    """Consistent hashing: each job goes to its ring owner, full or
-    not being the owner's problem — a full owner leaves the job queued
-    rather than migrating it, preserving placement stability."""
-
-    name = "hash-ring"
-
-    def __init__(self, replicas: int = RING_REPLICAS) -> None:
-        self.replicas = replicas
-
-    def pick_worker(self, job_hash: str, cost: float,
-                    workers: Sequence[WorkerView]) -> str | None:
-        live = [w for w in workers if w.slots > 0]
-        if not live:
-            return None
-        owner = ring_assign(job_hash, [w.name for w in live],
-                            self.replicas)
-        view = next(w for w in live if w.name == owner)
-        return owner if view.free > 0 else None
-
-
-class LeastLoadedPolicy(AllocationPolicy):
-    """Greedy: most free slots wins (ties broken by name for
-    determinism given the same worker states)."""
-
-    name = "least-loaded"
-
-    def pick_worker(self, job_hash: str, cost: float,
-                    workers: Sequence[WorkerView]) -> str | None:
-        best: WorkerView | None = None
-        for w in sorted(workers, key=lambda w: w.name):
-            if w.free <= 0:
-                continue
-            if best is None or w.free > best.free:
-                best = w
-        return best.name if best is not None else None
-
-
-class LJFPolicy(LeastLoadedPolicy):
-    """Longest-job-first ordering on top of least-loaded placement —
-    the distributed analogue of the single-host farm's anti-straggler
-    sort."""
-
-    name = "ljf"
-
-    def queue_order(self, pending: Sequence[QueueEntry]) -> list[str]:
-        return [e.hash for e in
-                sorted(pending, key=lambda e: (-e.cost, e.hash))]
-
-
-#: Floor applied to a submitter's weight so a zero/negative weight can
-#: deprioritise but never fully starve a submitter (starvation-freedom
-#: is the point of the policy).
-MIN_WEIGHT = 1e-3
-
-
-class FairSharePolicy(LeastLoadedPolicy):
-    """Per-submitter weighted deficit round-robin (DRR) ordering.
-
-    Each submitter owns a virtual FIFO of its pending jobs (enqueue
-    sequence order). Rounds visit submitters in sorted-name order;
-    each visit credits the submitter's *deficit counter* with
-    ``weight x quantum`` (quantum = the largest pending cost, so every
-    round lets a weight-1 submitter afford at least its cheapest job)
-    and then emits that submitter's jobs front-to-back while the
-    deficit covers their cost. Leftover deficit carries across rounds
-    — and across dispatch cycles while the submitter stays backlogged
-    — so long-run worker-slot shares converge to the weight ratio even
-    with heterogeneous job costs. A submitter whose queue drains loses
-    its accumulated deficit (classic DRR: you cannot bank credit while
-    idle).
-
-    Ordering-only by construction: the emitted list is a permutation
-    of the pending hashes, and placement is inherited least-loaded.
-    """
-
-    name = "fair-share"
-
-    def __init__(self) -> None:
-        #: Deficit carried per backlogged submitter between calls.
-        self._deficit: dict[str, float] = {}
-
-    def queue_order(self, pending: Sequence[QueueEntry]) -> list[str]:
-        queues: dict[str, list[QueueEntry]] = {}
-        weights: dict[str, float] = {}
-        for entry in sorted(pending, key=lambda e: e.seq):
-            queues.setdefault(entry.submitter, []).append(entry)
-            weights[entry.submitter] = max(entry.weight, MIN_WEIGHT)
-        # Idle submitters forfeit banked deficit (standard DRR reset).
-        self._deficit = {s: d for s, d in self._deficit.items()
-                         if s in queues}
-        if not queues:
-            return []
-        quantum = max(e.cost for e in pending) or 1.0
-        order: list[str] = []
-        heads = {s: 0 for s in queues}
-        while len(order) < len(pending):
-            for submitter in sorted(queues):
-                queue = queues[submitter]
-                head = heads[submitter]
-                if head >= len(queue):
-                    continue
-                credit = self._deficit.get(submitter, 0.0)
-                credit += quantum * weights[submitter]
-                while head < len(queue) and queue[head].cost <= credit:
-                    credit -= queue[head].cost
-                    order.append(queue[head].hash)
-                    head += 1
-                heads[submitter] = head
-                # Backlogged submitters bank the remainder (that is
-                # the "deficit" in DRR — a low-weight submitter saves
-                # up across rounds until it can afford its head job);
-                # a drained queue forfeits it (no banking while idle).
-                self._deficit[submitter] = (credit if head < len(queue)
-                                            else 0.0)
-        return order
-
-
-POLICIES: dict[str, type[AllocationPolicy]] = {
-    HashRingPolicy.name: HashRingPolicy,
-    LeastLoadedPolicy.name: LeastLoadedPolicy,
-    LJFPolicy.name: LJFPolicy,
-    FairSharePolicy.name: FairSharePolicy,
-}
-
-
-def make_policy(name: str) -> AllocationPolicy:
-    """Instantiate a policy by CLI name; unknown names raise with the
-    valid choices listed."""
-    try:
-        cls = POLICIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown allocation policy {name!r}; "
-            f"choices: {', '.join(sorted(POLICIES))}"
-        ) from None
-    return cls()

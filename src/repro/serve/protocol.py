@@ -19,7 +19,8 @@ server -> worker
 
 worker -> server
     ``{"type": "hello", "name": ..., "slots": n, "pid": ...}``
-        First frame after attach.
+        First frame after attach. ``slots`` and ``pid`` must be
+        integers; otherwise the server closes the link unregistered.
     ``{"type": "result", "hash": h, "attempt": n, "body": {...},
     "checksum": ...}``
         A completed job. ``body`` is the byte-stable encoded result

@@ -13,11 +13,11 @@ single asyncio event loop (no locks):
 * ``jobs`` — the cross-sweep dedup table, keyed by job content hash.
   However many sweeps want a grid point, it executes at most once; each
   waiting (sweep, index) pair is resolved when the result lands.
-* ``workers`` — the attached fleet. Placement is delegated to a
-  pluggable :class:`~repro.serve.policy.AllocationPolicy` (consistent
-  hash ring by default). A worker that disconnects, stops heartbeating
-  or blows its job deadline has its in-flight jobs requeued through the
-  normal retry budget — worker churn is just another fault.
+* ``workers`` — the attached fleet. Each job goes to its consistent
+  hash ring owner (:func:`~repro.serve.policy.ring_assign`). A worker
+  that disconnects, stops heartbeating or blows its job deadline has
+  its in-flight jobs requeued through the normal retry budget — worker
+  churn is just another fault.
 * shared stores — one :class:`~repro.exec.cache.ResultCache` (the
   schema-v2 checksummed store doubles as the cluster-wide shared
   cache; a re-submitted grid is served from it without touching a
@@ -26,24 +26,14 @@ single asyncio event loop (no locks):
   followed by re-submission — or ``{"resume": "<run-id>"}`` — replays
   completed grid points with zero re-simulation).
 
-Overload model (see docs/distributed.md "Operating under load"): the
-shared job queue is a contended structure exactly like the paper's
-shared issue queue, so the server regulates it explicitly instead of
-letting implicit FIFO decide. **Admission control** bounds unresolved
-jobs: up to ``max_in_flight`` a submission is ``admitted``; beyond
-that (but within ``max_in_flight + max_queue``) it is accepted
-``queued``; past the queue bound the submission gets a structured
-HTTP 429 with ``Retry-After``. **Fair share**: submissions carry a
-``submitter`` id and ``weight``; the ``fair-share`` policy runs
-weighted deficit round-robin over submitters so no grid starves
-another (ordering-only — bytes never change). **Graceful drain**
-(``POST /v1/admin/drain`` or SIGTERM): stop admitting, let dispatched
-jobs finish against a deadline, journal the remainder as
-``interrupted``, send workers the ``shutdown`` frame — a restart +
-resubmission then replays every completed point with zero
-re-simulation, the crash invariant extended to clean restarts.
-``GET /v1/health`` reports all of it: queue depth, per-submitter
-shares, worker liveness, drain state.
+Graceful drain (``POST /v1/admin/drain`` or SIGTERM; see
+docs/distributed.md "Drain, health and retry"): stop accepting
+submissions (503 with ``Retry-After``), let dispatched jobs finish
+against a deadline, journal the remainder as ``interrupted``, send
+workers the ``shutdown`` frame — a restart + resubmission then replays
+every completed point with zero re-simulation, the crash invariant
+extended to clean restarts. ``GET /v1/health`` reports queue depth,
+worker liveness and drain state.
 
 Failure model (see docs/distributed.md): results are **exactly-once**
 — attempts are at-least-once (dropped frames, dead workers and
@@ -75,12 +65,7 @@ from repro.serve.http import (
     send_json,
     start_stream,
 )
-from repro.serve.policy import (
-    AllocationPolicy,
-    QueueEntry,
-    WorkerView,
-    make_policy,
-)
+from repro.serve.policy import ring_assign
 from repro.serve.protocol import (
     FrameError,
     decode_result_frame,
@@ -99,9 +84,6 @@ _TICK_SECONDS = 0.05
 #: Default drain grace: how long dispatched jobs get to finish before
 #: the remainder is journalled as ``interrupted``.
 DEFAULT_DRAIN_GRACE = 10.0
-
-#: Submitter id assumed when a submission does not carry one.
-DEFAULT_SUBMITTER = "anonymous"
 
 
 def _encode_body(payload: object) -> tuple[object, str]:
@@ -123,8 +105,6 @@ class Sweep:
     #: Live subscriber queues; a ``None`` item ends the stream.
     queues: list[asyncio.Queue] = field(default_factory=list)
     finished: bool = False
-    #: Who submitted it (fair-share attribution).
-    submitter: str = DEFAULT_SUBMITTER
     #: Set when a drain journalled the sweep's remainder as
     #: ``interrupted`` — it will never finish on this server; a
     #: resubmission after restart resumes it.
@@ -142,32 +122,10 @@ class Sweep:
 
 
 @dataclass(slots=True)
-class _SubmitterShare:
-    """Fair-share bookkeeping for one submitter id."""
-
-    weight: float = 1.0
-    #: Sweeps this submitter has submitted (attach included).
-    sweeps: int = 0
-    #: Jobs first enqueued on this submitter's behalf.
-    submitted: int = 0
-    #: Of those, resolved successfully / failed terminally.
-    completed: int = 0
-    failed: int = 0
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "weight": self.weight, "sweeps": self.sweeps,
-            "submitted": self.submitted, "completed": self.completed,
-            "failed": self.failed,
-        }
-
-
-@dataclass(slots=True)
 class _JobState:
     """Cross-sweep execution state of one content hash."""
 
     job: object
-    cost: float
     #: "queued" | "dispatched" | "done" | "failed"
     status: str = "queued"
     attempt: int = 0
@@ -177,12 +135,6 @@ class _JobState:
     error: str | None = None
     #: (sweep, index-in-that-sweep) pairs awaiting this hash.
     waiters: list[tuple[Sweep, int]] = field(default_factory=list)
-    #: Fair-share attribution: the submitter whose submission first
-    #: enqueued this hash, its weight, and the enqueue sequence number
-    #: (the submission-order tiebreak policies fall back to).
-    submitter: str = DEFAULT_SUBMITTER
-    weight: float = 1.0
-    seq: int = 0
 
 
 @dataclass(slots=True)
@@ -207,14 +159,11 @@ class SweepServer:
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  cache_dir: str | Path | None = None,
                  journal_dir: str | Path | None = None,
-                 policy: AllocationPolicy | str = "hash-ring",
                  retries: int = 1,
                  timeout: float | None = None,
                  heartbeat_grace: float = DEFAULT_HEARTBEAT_GRACE,
                  chaos: ChaosConfig | None = None,
                  rotate_bytes: int | None = None,
-                 max_in_flight: int | None = None,
-                 max_queue: int | None = None,
                  drain_grace: float = DEFAULT_DRAIN_GRACE) -> None:
         self.host = host
         self.port = port
@@ -222,33 +171,22 @@ class SweepServer:
                       if cache_dir is not None else None)
         self.journal_dir = (Path(journal_dir)
                             if journal_dir is not None else None)
-        self.policy = (make_policy(policy) if isinstance(policy, str)
-                       else policy)
         self.retries = retries
         self.timeout = timeout
         self.heartbeat_grace = heartbeat_grace
         self.chaos = chaos
         self.rotate_bytes = rotate_bytes
-        #: Admission budget: unresolved jobs up to this are ``admitted``
-        #: (dispatch-eligible immediately); None = unbounded.
-        self.max_in_flight = max_in_flight
-        #: Backlog headroom past the budget before submissions are
-        #: rejected with 429; None = unbounded backlog.
-        self.max_queue = max_queue
         self.drain_grace = drain_grace
 
         self.sweeps: dict[str, Sweep] = {}
         self.jobs: dict[str, _JobState] = {}
         self.workers: dict[str, _Worker] = {}
-        #: Per-submitter fair-share registry (weights + counters).
-        self.submitters: dict[str, _SubmitterShare] = {}
         #: "serving" | "draining" | "drained".
         self.state = "serving"
         self._wake = asyncio.Event()
         self._server: asyncio.Server | None = None
         self._tasks: list[asyncio.Task] = []
         self._worker_seq = 0
-        self._enqueue_seq = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -298,19 +236,8 @@ class SweepServer:
     # submissions
     # ------------------------------------------------------------------
     def submit(self, jobs: list, run_id: str | None = None,
-               resume: bool = False,
-               submitter: str = DEFAULT_SUBMITTER,
-               weight: float = 1.0) -> Sweep:
-        """Create (or attach to) the sweep executing ``jobs``.
-
-        ``submitter``/``weight`` feed the fair-share ledger: jobs first
-        enqueued by this submission are attributed to ``submitter``,
-        and a ``fair-share`` policy shares worker slots across
-        submitters in proportion to their weights.
-        """
-        share = self.submitters.setdefault(submitter, _SubmitterShare())
-        share.weight = weight
-        share.sweeps += 1
+               resume: bool = False) -> Sweep:
+        """Create (or attach to) the sweep executing ``jobs``."""
         hashes = [job.content_hash() for job in jobs]
         sweep_id = run_id or derive_run_id(hashes)
         existing = self.sweeps.get(sweep_id)
@@ -333,13 +260,13 @@ class SweepServer:
             jobs, hashes=hashes, cache=self.cache, journal=journal,
             resume=journal is not None, retries=self.retries,
             progress=None,
-        ), submitter=submitter)
+        ))
         # Bind the progress stream after construction so the callback
         # can close over the sweep object itself.
         sweep.ledger.progress = lambda ev: self._emit_progress(sweep, ev)
         self.sweeps[sweep_id] = sweep
         sweep.emit({"event": "sweep-start", "sweep": sweep_id,
-                    "total": len(jobs), "submitter": submitter})
+                    "total": len(jobs)})
 
         pending = sweep.ledger.open()
         for idx in pending:
@@ -355,16 +282,7 @@ class SweepServer:
         if st is None or st.status == "failed":
             # Fresh hash — or a hash that failed terminally for an
             # earlier sweep: a new submission buys a fresh budget.
-            self._enqueue_seq += 1
-            share = self.submitters.setdefault(
-                sweep.submitter, _SubmitterShare()
-            )
-            share.submitted += 1
-            st = _JobState(
-                job=job, cost=float(job.cost_estimate()),
-                submitter=sweep.submitter, weight=share.weight,
-                seq=self._enqueue_seq,
-            )
+            st = _JobState(job=job)
             self.jobs[job_hash] = st
         if st.status == "done":
             # Dedup hit against a batch resolved earlier this session
@@ -413,9 +331,6 @@ class SweepServer:
         st.payload = payload
         st.worker = None
         st.deadline = None
-        share = self.submitters.get(st.submitter)
-        if share is not None:
-            share.completed += 1
         waiters, st.waiters = st.waiters, []
         for sweep, idx in waiters:
             sweep.ledger.complete(idx, payload)
@@ -446,9 +361,6 @@ class SweepServer:
             return
         st.status = "failed"
         st.error = error
-        share = self.submitters.get(st.submitter)
-        if share is not None:
-            share.failed += 1
         waiters, st.waiters = st.waiters, []
         for sweep, _ in waiters:
             self._check_sweep(sweep)
@@ -466,23 +378,19 @@ class SweepServer:
         if self.state != "serving":
             # Draining: in-flight jobs may finish, nothing new starts.
             return
-        queued = [
-            QueueEntry(hash=h, cost=st.cost, submitter=st.submitter,
-                       weight=st.weight, seq=st.seq)
-            for h, st in self.jobs.items() if st.status == "queued"
-        ]
-        if not queued or not self.workers:
-            return
-        for job_hash in self.policy.queue_order(queued):
+        # Dict order is first-enqueue order, so jobs go out as submitted.
+        queued = [h for h, st in self.jobs.items() if st.status == "queued"]
+        for job_hash in queued:
+            if not self.workers:
+                return  # the fleet left across a dispatch await
             st = self.jobs[job_hash]
             if st.status != "queued":
                 continue
-            views = [WorkerView(w.name, w.slots, len(w.in_flight))
-                     for w in self.workers.values()]
-            target = self.policy.pick_worker(job_hash, st.cost, views)
-            if target is None:
-                continue
-            await self._dispatch_to(self.workers[target], st, job_hash)
+            # A busy ring owner leaves the job queued rather than
+            # migrating it: placement stability over utilisation.
+            w = self.workers[ring_assign(job_hash, list(self.workers))]
+            if len(w.in_flight) < w.slots:
+                await self._dispatch_to(w, st, job_hash)
 
     async def _dispatch_to(self, w: _Worker, st: _JobState,
                            job_hash: str) -> None:
@@ -520,7 +428,9 @@ class SweepServer:
         except FrameError:
             writer.close()
             return
-        if hello is None or hello.get("type") != "hello":
+        if (hello is None or hello.get("type") != "hello"
+                or not _is_int(hello.get("slots", 1))
+                or not _is_int(hello.get("pid", 0))):
             writer.close()
             return
         self._worker_seq += 1
@@ -530,8 +440,8 @@ class SweepServer:
             # A reconnect under the same name supersedes the old link.
             await self._drop_worker(old, "superseded")
         w = _Worker(
-            name=name, slots=max(1, int(hello.get("slots", 1))),
-            pid=int(hello.get("pid", 0)), writer=writer,
+            name=name, slots=max(1, hello.get("slots", 1)),
+            pid=hello.get("pid", 0), writer=writer,
             last_beat=_monotonic(),
         )
         self.workers[name] = w
@@ -619,54 +529,8 @@ class SweepServer:
             self._wake.set()
 
     # ------------------------------------------------------------------
-    # overload control: admission, fair-share accounting, drain
+    # health and drain
     # ------------------------------------------------------------------
-    def unresolved_count(self) -> int:
-        """Jobs admitted but not yet resolved (queued + dispatched)."""
-        return sum(1 for st in self.jobs.values()
-                   if st.status in ("queued", "dispatched"))
-
-    def total_slots(self) -> int:
-        return sum(w.slots for w in self.workers.values())
-
-    def admission(self, incoming: int) -> tuple[str, int]:
-        """Admission decision for a submission adding ``incoming``
-        not-yet-resolved jobs.
-
-        Returns ``(verdict, retry_after)`` where verdict is
-        ``"admitted"`` (within the in-flight budget), ``"queued"``
-        (over budget but within the bounded backlog) or ``"rejected"``
-        (the backlog is full too — answer 429). ``retry_after`` is the
-        suggested client wait in whole seconds: the excess over budget
-        amortised across the fleet's slots, floored at 1 — coarse by
-        design, deterministic by construction.
-        """
-        unresolved = self.unresolved_count()
-        after = unresolved + incoming
-        if self.max_in_flight is None or after <= self.max_in_flight:
-            return "admitted", 0
-        excess = after - self.max_in_flight
-        retry_after = max(1, -(-excess // max(1, self.total_slots())))
-        if self.max_queue is not None and excess > self.max_queue:
-            return "rejected", retry_after
-        return "queued", retry_after
-
-    def submitter_shares(self) -> dict[str, dict[str, object]]:
-        """Per-submitter fair-share snapshot (the ``/v1/health``
-        payload): registry counters plus live queue occupancy."""
-        shares = {name: share.as_dict()
-                  for name, share in self.submitters.items()}
-        for st in self.jobs.values():
-            if st.status in ("queued", "dispatched"):
-                entry = shares.setdefault(
-                    st.submitter, _SubmitterShare().as_dict()
-                )
-                entry[st.status] = int(entry.get(st.status, 0)) + 1
-        for entry in shares.values():
-            entry.setdefault("queued", 0)
-            entry.setdefault("dispatched", 0)
-        return shares
-
     def health(self) -> dict[str, object]:
         """The ``GET /v1/health`` report."""
         now = _monotonic()
@@ -680,10 +544,7 @@ class SweepServer:
                 "queued": queued,
                 "dispatched": dispatched,
                 "unresolved": queued + dispatched,
-                "budget": self.max_in_flight,
-                "queue_bound": self.max_queue,
             },
-            "submitters": self.submitter_shares(),
             "workers": [
                 {"name": w.name, "slots": w.slots, "pid": w.pid,
                  "in_flight": len(w.in_flight),
@@ -698,13 +559,12 @@ class SweepServer:
                 "interrupted": sum(1 for s in self.sweeps.values()
                                    if s.interrupted),
             },
-            "policy": self.policy.name,
         }
 
     async def drain(self, grace: float | None = None) -> dict:
         """Gracefully wind the server down under load.
 
-        Stops admitting submissions (they answer 503), stops
+        Stops accepting submissions (they answer 503), stops
         dispatching queued jobs, gives already-dispatched jobs
         ``grace`` seconds (default ``drain_grace``) to finish — their
         results journal as ``done`` exactly as in normal operation —
@@ -806,20 +666,6 @@ class SweepServer:
             if req.path == "/v1/health":
                 await self._get_health(writer)
                 return
-            if req.path == "/v1/healthz":
-                await send_json(writer, 200, {
-                    "ok": True,
-                    "workers": len(self.workers),
-                    "sweeps": len(self.sweeps),
-                })
-                return
-            if req.path == "/v1/workers":
-                await send_json(writer, 200, {"workers": [
-                    {"name": w.name, "slots": w.slots, "pid": w.pid,
-                     "in_flight": len(w.in_flight)}
-                    for w in self.workers.values()
-                ]})
-                return
             if req.path == "/v1/cache":
                 if self.cache is None:
                     await send_error(writer, 404,
@@ -871,41 +717,15 @@ class SweepServer:
         if not jobs:
             await send_error(writer, 400, "submission contains no jobs")
             return
-        submitter = str(payload.get("submitter", DEFAULT_SUBMITTER))
-        try:
-            weight = float(payload.get("weight", 1.0))
-        except (TypeError, ValueError):
-            await send_error(writer, 400, "weight must be a number")
-            return
-        # Admission: count the jobs this submission genuinely adds to
-        # the unresolved set (deduped/cached hashes ride along free).
-        incoming = len({
-            h for h in (j.content_hash() for j in jobs)
-            if h not in self.jobs or self.jobs[h].status == "failed"
-        })
-        verdict, retry_after = self.admission(incoming)
-        if verdict == "rejected":
-            await send_error(
-                writer, 429, "job budget and queue are full",
-                headers={"Retry-After": str(retry_after)},
-                retry_after=retry_after,
-                unresolved=self.unresolved_count(),
-                incoming=incoming,
-                budget=self.max_in_flight, queue_bound=self.max_queue,
-            )
-            return
         attached = run_id in self.sweeps if run_id is not None else (
             derive_run_id([j.content_hash() for j in jobs]) in self.sweeps
         )
-        sweep = self.submit(jobs, run_id=run_id, resume=resume,
-                            submitter=submitter, weight=weight)
+        sweep = self.submit(jobs, run_id=run_id, resume=resume)
         await send_json(writer, 202, {
             "sweep": sweep.sweep_id,
             "total": sweep.ledger.report.total,
             "status": "done" if sweep.finished else "running",
             "attached": attached,
-            "admission": verdict,
-            "retry_after": retry_after,
         })
 
     async def _post_drain(self, req: Request,
@@ -1011,6 +831,11 @@ class SweepServer:
             "report": sweep.ledger.report.as_dict(),
             "results": encoded,
         })
+
+
+def _is_int(value: object) -> bool:
+    """Whether a decoded JSON value is an integer (``true`` is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _expand_grid(grid: object) -> list:

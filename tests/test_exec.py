@@ -3,8 +3,8 @@
 Covers the determinism guarantee (jobs=1 vs jobs=4 byte-identical over
 a >= 12-point grid), every cache path (hit / miss / corrupt entry /
 schema mismatch), worker-crash retry and per-job timeout, content-hash
-stability, input validation at job construction, and the slot-trace
-memoisation in the runner.
+stability, input validation at job and executor-config construction,
+and the slot-trace memoisation in the runner.
 """
 
 from __future__ import annotations
@@ -86,6 +86,28 @@ class TestSimJobValidation:
     def test_zero_warmup_and_default_warmup_accepted(self):
         assert tiny_job(warmup=0).warmup == 0
         assert tiny_job().warmup is None
+
+
+class TestExecutorConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("jobs", 0), ("retries", -1),
+        ("timeout", 0.0), ("timeout", -5.0),
+        ("watchdog", 0.0), ("watchdog", -1.0),
+    ])
+    def test_rejects_bad_values(self, field, value):
+        # watchdog=-1 used to fail every pooled job as "worker hung",
+        # timeout<=0 every job as "timed out".
+        with pytest.raises(ValueError, match=field):
+            ExecutorConfig(**{"jobs": 2, field: value})
+
+    def test_none_still_disables_timeout_and_watchdog(self):
+        cfg = ExecutorConfig(jobs=2, timeout=None, watchdog=None)
+        assert cfg.timeout is None and cfg.watchdog is None
+
+    def test_from_env_rejects_negative_watchdog(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WATCHDOG", "-1")
+        with pytest.raises(ValueError, match="watchdog"):
+            ExecutorConfig.from_env()
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.exec import (
@@ -12,6 +14,7 @@ from repro.exec import (
     execute_jobs,
     fork_available,
 )
+from repro.serve import LocalCluster
 
 
 # Entry points resolved by name inside workers ("module:function").
@@ -73,15 +76,19 @@ def test_execute_jobs_runs_workjobs_in_workers():
 
 def test_tolerate_failures_returns_positional_results():
     jobs = [_job("double", x=1), _job("explode", x=2), _job("double", x=3)]
-    cfg = ExecutorConfig(jobs=1, retries=0, tolerate_failures=True)
-    results, report = execute_jobs(jobs, cfg)
-    assert results[0] == {"doubled": 2}
-    assert results[1] is None
-    assert results[2] == {"doubled": 6}
-    assert report.failed == 1
-    assert len(report.job_failures) == 1
-    assert "bad x=2" in report.job_failures[0].message
-    assert report.job_failures[0].job.content_hash() == jobs[1].content_hash()
+    local = ExecutorConfig(jobs=1, retries=0, tolerate_failures=True)
+    # The same contract holds when a sweep server runs the batch.
+    with LocalCluster(workers=1, retries=0) as cluster:
+        for cfg in (local, replace(local, server=cluster.url)):
+            results, report = execute_jobs(jobs, cfg)
+            assert results[0] == {"doubled": 2}
+            assert results[1] is None
+            assert results[2] == {"doubled": 6}
+            assert report.failed == 1
+            assert len(report.job_failures) == 1
+            assert "bad x=2" in report.job_failures[0].message
+            assert report.job_failures[0].job.content_hash() == \
+                jobs[1].content_hash()
 
 
 def test_without_tolerate_failures_the_batch_still_raises():
