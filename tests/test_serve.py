@@ -639,41 +639,61 @@ class TestStreamRecovery:
 
 
 # ----------------------------------------------------------------------
+# admission: what /v1/health reports of the queue, and the drained
+# server's 503
+# ----------------------------------------------------------------------
+class TestAdmission:
+    def test_health_reports_queue_and_shares(self, tmp_path):
+        jobs = grid_jobs()
+        with LocalCluster(workers=0,
+                          journal_dir=tmp_path / "journal") as cluster:
+            client = SweepClient(cluster.url)
+            # Two overlapping sweeps share their common jobs' states,
+            # so the queue counts each job once.
+            client.submit({"jobs": [
+                j.fingerprint_payload() for j in jobs[:3]]})
+            client.submit({"jobs": [
+                j.fingerprint_payload() for j in jobs[1:]]})
+            h = client.health()
+            assert h["state"] == "serving"
+            assert h["queue"]["queued"] == len(jobs)
+            assert h["queue"]["dispatched"] == 0
+            assert h["queue"]["unresolved"] == len(jobs)
+            assert h["workers"] == []
+            assert h["sweeps"]["total"] == 2
+            assert h["sweeps"]["running"] == 2
+
+    def test_drained_server_rejects_with_503(self, tmp_path, golden):
+        jobs = grid_jobs()
+        journal_dir = tmp_path / "journal"
+        with LocalCluster(workers=0,
+                          journal_dir=journal_dir) as cluster:
+            client = SweepClient(cluster.url)
+            client.submit({"jobs": [
+                j.fingerprint_payload() for j in jobs]})
+            summary = client.drain(0.2)  # POST /v1/admin/drain
+            assert summary["state"] == "drained"
+            assert summary["interrupted"] == len(jobs)
+            assert client.health()["state"] == "drained"
+            once = SweepClient(cluster.url,
+                               retry=RetryPolicy(attempts=1))
+            with pytest.raises(ServerError) as excinfo:
+                once.submit({"jobs": [jobs[0].fingerprint_payload()]})
+            assert excinfo.value.status == 503
+            assert excinfo.value.retry_after == 1.0
+
+        # The journalled remainder resumes on a replacement server.
+        with LocalCluster(workers=2, journal_dir=journal_dir,
+                          retries=2, timeout=60.0) as cluster:
+            results, report = SweepClient(cluster.url).execute(jobs)
+        assert canon(results) == golden
+        assert report.simulated == len(jobs)  # nothing ran pre-drain
+
+
+# ----------------------------------------------------------------------
 # graceful drain: in-flight work finishes, the rest journals, restart
 # resumes with zero re-simulation
 # ----------------------------------------------------------------------
-def test_drained_server_rejects_with_503(tmp_path, golden):
-    jobs = grid_jobs()
-    journal_dir = tmp_path / "journal"
-    with LocalCluster(workers=0,
-                      journal_dir=journal_dir) as cluster:
-        client = SweepClient(cluster.url)
-        client.submit({"jobs": [
-            j.fingerprint_payload() for j in jobs]})
-        h = client.health()
-        assert h["state"] == "serving"
-        assert h["queue"]["queued"] == len(jobs)
-        assert h["queue"]["unresolved"] == len(jobs)
-        assert h["workers"] == []
-        assert h["sweeps"]["running"] == 1
-        summary = client.drain(0.2)  # POST /v1/admin/drain
-        assert summary["state"] == "drained"
-        assert summary["interrupted"] == len(jobs)
-        assert client.health()["state"] == "drained"
-        once = SweepClient(cluster.url, retry=RetryPolicy(attempts=1))
-        with pytest.raises(ServerError) as excinfo:
-            once.submit({"jobs": [jobs[0].fingerprint_payload()]})
-        assert excinfo.value.status == 503
-        assert excinfo.value.retry_after == 1.0
-
-    # The journalled remainder resumes on a replacement server.
-    with LocalCluster(workers=2, journal_dir=journal_dir,
-                      retries=2, timeout=60.0) as cluster:
-        results, report = SweepClient(cluster.url).execute(jobs)
-    assert canon(results) == golden
-    assert report.simulated == len(jobs)  # nothing ran pre-drain
-
-
 def test_drain_midsweep_then_restart_zero_resimulation(tmp_path):
     keyed = jobs_for_grid(
         TWO_THREAD_MIXES[:2], CFG, ("traditional", "2op_ooo"), (8, 16),
