@@ -829,12 +829,9 @@ def build_report(paths: list[Path], sites: list[MutationSite],
 
 def encode_baseline(report: dict[str, object],
                     allowlist: dict[str, str]) -> dict[str, object]:
-    """Committed-baseline body (byte-stable via ``stable_dumps``)."""
+    """Committed-baseline body (byte-stable via ``stable_dumps``), with
+    the allowlist :func:`carry_allowlist` made for ``report``."""
     mutants = report["mutants"]
-    kept = {
-        mid: reason for mid, reason in sorted(allowlist.items())
-        if mid in mutants
-    }
     return {
         "version": 1,
         "targets": report["targets"],
@@ -842,7 +839,7 @@ def encode_baseline(report: dict[str, object],
         "killed": report["killed"],
         "score": report["score"],
         "kill_matrix": report["kill_matrix"],
-        "allowlist": kept,
+        "allowlist": allowlist,
         "survivors": [
             {
                 "id": mid,
@@ -856,6 +853,47 @@ def encode_baseline(report: dict[str, object],
             for mid in report["survivors"]
         ],
     }
+
+
+def _site_key(entry: dict[str, object]) -> tuple:
+    return (entry["path"], entry["qual"], entry["op"], entry["before"],
+            entry["after"])
+
+
+def carry_allowlist(report: dict[str, object],
+                    baseline: dict[str, object],
+                    ) -> tuple[dict[str, str], list[tuple[str, str, str]]]:
+    """The baseline's allowlist re-keyed to this report's mutant ids.
+
+    Ids hash the source span, so an edit above a survivor gives it a
+    new id. A reason whose id no longer enumerates moves to the
+    unallowlisted survivor with the same (path, qual, op, before,
+    after); survivors sharing that key pair up in line order. Returns
+    the allowlist and the ``(old id, new id, reason)`` moves made.
+    """
+    mutants = report["mutants"]
+    allowlist = baseline.get("allowlist", {})
+    kept = {mid: reason for mid, reason in allowlist.items()
+            if mid in mutants}
+    moved: dict[tuple, list[tuple[int, str]]] = {}
+    for entry in baseline.get("survivors", ()):
+        mid = entry["id"]
+        if mid in allowlist and mid not in mutants:
+            moved.setdefault(_site_key(entry), []).append(
+                (entry["line"], mid))
+    unlisted: dict[tuple, list[tuple[int, str]]] = {}
+    for mid in report["survivors"]:
+        if mid not in kept:
+            entry = mutants[mid]
+            unlisted.setdefault(_site_key(entry), []).append(
+                (entry["line"], mid))
+    carried = []
+    for key, old in sorted(moved.items()):
+        for (_, old_id), (_, new_id) in zip(sorted(old),
+                                            sorted(unlisted.get(key, ()))):
+            kept[new_id] = allowlist[old_id]
+            carried.append((old_id, new_id, allowlist[old_id]))
+    return kept, carried
 
 
 def load_baseline(path: Path) -> dict[str, object]:
@@ -900,7 +938,7 @@ def add_mutate_args(p: argparse.ArgumentParser) -> None:
                    help="do not gate against any baseline")
     p.add_argument("--update-baseline", action="store_true",
                    help="rewrite the baseline from this run "
-                        "(preserving still-valid allowlist entries)")
+                        "(allowlist reasons follow moved mutants)")
     p.add_argument("--require-all-killed", action="store_true",
                    help="fail unless every mutant is killed or "
                         "allowlisted (the CI smoke gate)")
@@ -955,6 +993,9 @@ def run_mutate_cli(args: argparse.Namespace) -> int:
         }
 
     if args.update_baseline:
+        allowlist, carried = carry_allowlist(report, baseline or {})
+        for old_id, new_id, reason in carried:
+            print(f"carried {old_id} -> {new_id}: {reason}")
         body = encode_baseline(report, allowlist)
         baseline_path.parent.mkdir(parents=True, exist_ok=True)
         baseline_path.write_text(stable_dumps(body), encoding="utf-8")

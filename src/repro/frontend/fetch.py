@@ -52,7 +52,7 @@ class FetchUnit:
         stall_gate = self._stall_gate
         candidates = None
         for ts in core.threads:
-            # Inlined _can_fetch (the reference predicate below).
+            # STALL policy [15]: no fetch while a memory miss is pending.
             if (
                 ts.fetch_idx < ts.trace_len
                 and cycle >= ts.stalled_until
@@ -82,21 +82,7 @@ class FetchUnit:
         return fetched
 
     # ------------------------------------------------------------------
-    def _can_fetch(self, ts, cycle: int) -> bool:
-        if self._stall_gate and ts.pending_long_misses:
-            # STALL policy [15]: no fetch while a memory-level miss is
-            # outstanding for this thread.
-            return False
-        return (
-            ts.fetch_idx < ts.trace_len
-            and cycle >= ts.stalled_until
-            and ts.wait_branch is None
-            and len(ts.pipe) < ts.pipe_capacity
-        )
-
     def _fetch_thread(self, core, ts, cycle: int, budget: int) -> int:  # repro: hot
-        if core._custom_new_instr:
-            return self._fetch_thread_compat(core, ts, cycle, budget)
         trace = ts.trace
         idx = ts.fetch_idx
         # One icache probe per fetch group (line-granular behaviour is
@@ -185,42 +171,4 @@ class FetchUnit:
         stats = core.stats
         stats.fetched += n
         stats.fetched_per_thread[tid] += n
-        return n
-
-    def _fetch_thread_compat(self, core, ts, cycle: int, budget: int) -> int:
-        """Reference fetch loop routing each instruction through
-        ``core.new_instr`` so subclass observation hooks keep seeing
-        every dynamic instruction."""
-        trace = ts.trace
-        res = core.hierarchy.access_inst(trace.pc[ts.fetch_idx])
-        if res.extra_latency:
-            ts.stalled_until = cycle + res.extra_latency
-            return 0
-        exit_cycle = cycle + self.cfg.frontend_depth - 1
-        stats = core.stats
-        n = 0
-        while (
-            n < budget
-            and ts.fetch_idx < ts.trace_len
-            and len(ts.pipe) < ts.pipe_capacity
-        ):
-            idx = ts.fetch_idx
-            instr = core.new_instr(ts, idx, cycle)
-            ts.fetch_idx = idx + 1
-            ts.pipe.append((exit_cycle, instr))
-            ts.icount += 1
-            stats.fetched += 1
-            stats.fetched_per_thread[ts.tid] += 1
-            n += 1
-            if instr.is_branch:
-                pred = ts.predictor.predict(
-                    instr.pc, instr.taken, instr.target
-                )
-                instr.prediction = pred
-                if pred.mispredicted:
-                    instr.mispredicted = True
-                    ts.wait_branch = instr
-                    break
-                if instr.taken:
-                    break  # fetch break at a predicted-taken branch
         return n

@@ -93,7 +93,7 @@ class SMTProcessor:
             ThreadState(tid, trace, cfg) for tid, trace in enumerate(traces)
         ]
         # All n cyclic rotations of the thread list, precomputed once;
-        # ``_rotation`` indexes by ``cycle % n`` instead of building a
+        # the stages index them by ``cycle % n`` instead of building a
         # fresh list three times per cycle.
         n = self.num_threads
         threads = self.threads
@@ -125,11 +125,6 @@ class SMTProcessor:
         self._done_events: dict[int, list[DynInstr]] = {}
         self._last_commit_cycle = 0
         self._events_fired = False
-        #: subclasses overriding ``new_instr`` (an observation hook used
-        #: by tests) force fetch onto the compat path that calls it.
-        self._custom_new_instr = (
-            type(self).new_instr is not SMTProcessor.new_instr
-        )
         self.sanitizer = None
         if cfg.sanitize:
             # Imported lazily: the analysis layer sits above the pipeline
@@ -148,7 +143,8 @@ class SMTProcessor:
         # Cache the stage bound methods in the instance dict: step()
         # then pays one attribute lookup per stage per cycle instead of
         # a fresh descriptor bind. Lookup still happens at call time, so
-        # per-instance wrappers (repro.perf stage timers) intercept.
+        # per-instance wrappers intercept: the repro.perf stage timers,
+        # the sanitizer's contract checks and the tests' observers.
         for name in ("_commit", "_apply_events", "_issue", "_dispatch",
                      "_rename"):
             setattr(self, name, getattr(self, name))
@@ -219,33 +215,6 @@ class SMTProcessor:
             predictor.gshare.hits = 0
             predictor.btb.lookups = 0
             predictor.btb.hits = 0
-
-    # ------------------------------------------------------------------
-    # instruction factory
-    # ------------------------------------------------------------------
-    def new_instr(self, ts: ThreadState, idx: int, cycle: int) -> DynInstr:
-        """Materialise trace instruction ``idx`` of thread ``ts``."""
-        trace = ts.trace
-        instr = DynInstr(
-            tid=ts.tid,
-            seq=self._seq,
-            tseq=idx,
-            op=trace.op[idx],
-            pc=trace.pc[idx],
-            addr=trace.addr[idx],
-            taken=trace.taken[idx],
-            target=trace.target[idx],
-            dest_l=trace.dest[idx],
-            src1_l=trace.src1[idx],
-            src2_l=trace.src2[idx],
-            fetch_cycle=cycle,
-        )
-        self._seq += 1
-        return instr
-
-    def _rotation(self, cycle: int) -> tuple[ThreadState, ...]:  # repro: hot
-        rotations = self._rotations
-        return rotations[cycle % len(rotations)]
 
     # ------------------------------------------------------------------
     # stages
@@ -352,17 +321,14 @@ class SMTProcessor:
                         if stall > ts.stalled_until:
                             ts.stalled_until = stall
 
-    def _start_execution(self, instr: DynInstr, cycle: int,
-                         from_iq: bool) -> None:  # repro: hot
+    def _start_execution(self, instr: DynInstr, cycle: int) -> None:  # repro: hot
+        """Issue ``instr`` from the deadlock-avoidance buffer. ``_issue``
+        inlines these steps for IQ issues and adds a residency sample."""
         instr.issued = True
         instr.issue_cycle = cycle
         ts = self.threads[instr.tid]
         ts.icount -= 1
-        stats = self.stats
-        stats.issued += 1
-        if from_iq:
-            stats.iq_residency_sum += cycle - instr.dispatch_cycle
-            stats.iq_residency_count += 1
+        self.stats.issued += 1
         extra = 0
         if instr.is_load:
             if ts.lsq.can_forward(instr):
@@ -409,7 +375,7 @@ class SMTProcessor:
                     instr.in_dab = False
                     budget -= 1
                     self.stats.dab_issues += 1
-                    start(instr, cycle, from_iq=False)
+                    start(instr, cycle)
                 else:
                     remaining.append(instr)
             dab.entries = remaining
@@ -422,14 +388,6 @@ class SMTProcessor:
         heap = self.iq.ready_heap
         if not heap:
             return
-        # Tests wrap ``_start_execution`` (instance attribute or subclass
-        # override) to observe issues; any wrapper disables the inlined
-        # fast path below so every issue still goes through it.
-        start = self._start_execution
-        custom_start = (
-            getattr(start, "__func__", None)
-            is not SMTProcessor._start_execution
-        )
         iq = self.iq
         fu_units = fu._units
         issued_per_class = fu.issued_per_class
@@ -467,11 +425,7 @@ class SMTProcessor:
                 instr.in_iq = False  # inlined IssueQueue.remove_on_issue
                 iq.occupancy -= 1
                 budget -= 1
-                if custom_start:
-                    start(instr, cycle, from_iq=True)
-                    continue
-                # Inlined _start_execution (from_iq=True): see that
-                # method for the reference semantics.
+                # Inlined _start_execution plus the residency sample.
                 instr.issued = True
                 instr.issue_cycle = cycle
                 ts = threads[instr.tid]
@@ -841,6 +795,8 @@ class SMTProcessor:
         elapse. Returns the finalised statistics block."""
         if max_insns <= 0:
             raise ValueError(f"max_insns must be positive, got {max_insns}")
+        if max_cycles <= 0:
+            raise ValueError(f"max_cycles must be positive, got {max_cycles}")
         threads = self.threads
         stats = self.stats
         step = self.step

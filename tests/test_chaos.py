@@ -590,13 +590,12 @@ class TestChaosInvariant:
 class TestInterruptResume:
     def test_interrupt_reaps_journals_and_resumes(self, tmp_path, golden):
         jobs = grid_jobs()
-        events = 0
 
         def boom(_progress) -> None:
-            nonlocal events
-            events += 1
-            if events == 2:
-                raise KeyboardInterrupt
+            # At the first completion the other worker's job is still
+            # in flight whatever order the two finish in, so the
+            # journal must record it as interrupted.
+            raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
             execute_jobs(

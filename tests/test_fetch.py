@@ -2,8 +2,9 @@
 
 from repro.config.presets import small_machine
 from repro.frontend.icount import icount_order, round_robin_order
+from repro.pipeline.dynamic import DynInstr
 from repro.pipeline.smt_core import SMTProcessor
-from tests.trace_builder import TraceBuilder
+from tests.trace_builder import TraceBuilder, record_fetched
 
 
 class FakeThread:
@@ -36,6 +37,33 @@ class TestOrderingPolicies:
 
 
 class TestFetchBehaviour:
+    def test_fetched_instructions_match_the_reference_constructor(self):
+        """The fetch loop writes each ``DynInstr`` field by hand; every
+        field must equal what ``DynInstr.__init__`` builds from the same
+        trace row (prediction state aside: fetch adds it to branches)."""
+        tb = TraceBuilder()
+        tb.ialu(dest=1, src1=2, src2=3)
+        tb.load(dest=4, src1=1, addr=0x40)
+        tb.store(src1=4, src2=1, addr=0x80)
+        tb.branch(src1=4, target=0x100)
+        trace = tb.build()
+        core = SMTProcessor(small_machine(), [trace])
+        fetched = record_fetched(core)
+        core.step()
+        assert [instr.tseq for instr in fetched] == [0, 1, 2, 3]
+        for idx, instr in enumerate(fetched):
+            ref = DynInstr(
+                tid=0, seq=idx, tseq=idx, op=trace.op[idx],
+                pc=trace.pc[idx], addr=trace.addr[idx],
+                taken=trace.taken[idx], target=trace.target[idx],
+                dest_l=trace.dest[idx], src1_l=trace.src1[idx],
+                src2_l=trace.src2[idx], fetch_cycle=0,
+            )
+            for name in DynInstr.__slots__:
+                if name not in ("prediction", "mispredicted"):
+                    assert getattr(instr, name) == getattr(ref, name), name
+            assert (instr.prediction is not None) == instr.is_branch
+
     def test_fetch_width_respected(self):
         cfg = small_machine()  # fetch_width 4
         trace = TraceBuilder().nops(100).build()

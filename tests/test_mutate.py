@@ -255,6 +255,41 @@ def test_committed_mutation_baseline_matches_the_current_site_universe():
         <= set(baseline["allowlist"])
 
 
+def test_rebaseline_carries_allowlist_reasons_to_moved_mutants():
+    """Deleting lines above a survivor changes its id. Its reason must
+    follow it to the mutant with the same (path, qual, op, before,
+    after), and two survivors sharing that key pair up in line order."""
+
+    def site(line, qual="SMTProcessor._dispatch", before="budget <= 0"):
+        return {"path": "src/repro/pipeline/smt_core.py", "line": line,
+                "qual": qual, "op": "cmp-boundary", "before": before,
+                "after": before.replace("<=", "<")}
+
+    baseline = {
+        "allowlist": {"m_old_hi": "second", "m_old_lo": "first",
+                      "m_kept": "unmoved", "m_gone": "deleted code"},
+        "survivors": [
+            {"id": "m_old_hi", **site(558)},
+            {"id": "m_old_lo", **site(542)},
+            {"id": "m_kept", **site(273, qual="SMTProcessor._commit")},
+            {"id": "m_gone", **site(363, before="n <= 0")},
+        ],
+    }
+    report = {
+        "mutants": {
+            "m_new_hi": site(520), "m_new_lo": site(504),
+            "m_kept": site(273, qual="SMTProcessor._commit"),
+            "m_fresh": site(700, before="k <= 0"),
+        },
+        "survivors": ["m_fresh", "m_kept", "m_new_hi", "m_new_lo"],
+    }
+    allowlist, carried = mutate.carry_allowlist(report, baseline)
+    assert allowlist == {"m_new_lo": "first", "m_new_hi": "second",
+                         "m_kept": "unmoved"}
+    assert carried == [("m_old_lo", "m_new_lo", "first"),
+                       ("m_old_hi", "m_new_hi", "second")]
+
+
 # ----------------------------------------------------------------------
 # concurrency operators × the races layer
 # ----------------------------------------------------------------------

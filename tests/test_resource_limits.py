@@ -23,15 +23,16 @@ class TestIssueWidth:
         trace = TraceBuilder().nops(64).build()
         core = SMTProcessor(cfg, [trace])
         issues_per_cycle = {}
+        issue = core._issue
 
-        orig = core._start_execution
+        def counting(cycle):
+            before = core.stats.issued
+            issue(cycle)
+            issues_per_cycle[cycle] = core.stats.issued - before
 
-        def counting(instr, cycle, from_iq):
-            issues_per_cycle[cycle] = issues_per_cycle.get(cycle, 0) + 1
-            orig(instr, cycle, from_iq)
-
-        core._start_execution = counting
+        core._issue = counting
         core.run(10_000)
+        assert sum(issues_per_cycle.values()) == 64
         assert max(issues_per_cycle.values()) <= cfg.issue_width
 
 

@@ -21,7 +21,7 @@ from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.smt_core import SMTProcessor
 from repro.pipeline.thread import ThreadState
-from tests.trace_builder import TraceBuilder
+from tests.trace_builder import TraceBuilder, record_fetched
 
 
 def mixed_trace(n=300):
@@ -66,66 +66,41 @@ class TestIssueAccounting:
         assert s.iq_residency_sum >= s.iq_residency_count
 
     def test_observed_issues_match_the_counters_exactly(self):
-        """A ``_start_execution`` observer recomputes issued /
+        """The fetched instructions' issue records recompute issued /
         iq_residency_{sum,count} independently; the stats must agree
         exactly (catches dropped *and* doubled increments)."""
-
-        class Obs(SMTProcessor):
-            def __init__(self, *a, **k):
-                super().__init__(*a, **k)
-                self.obs_issued = 0
-                self.obs_sum = 0
-                self.obs_count = 0
-
-            def _start_execution(self, instr, cycle, from_iq):
-                self.obs_issued += 1
-                if from_iq:
-                    self.obs_sum += cycle - instr.dispatch_cycle
-                    self.obs_count += 1
-                return super()._start_execution(instr, cycle, from_iq)
-
-        core = Obs(small_machine(iq_size=8), [mixed_trace(120)])
+        core = SMTProcessor(small_machine(iq_size=8), [mixed_trace(120)])
+        instrs = record_fetched(core)
         s = core.run(10_000)
-        assert s.issued == core.obs_issued == 120
-        assert s.iq_residency_sum == core.obs_sum
-        assert s.iq_residency_count == core.obs_count
+        issued = [i for i in instrs if i.issued]
+        # The traditional scheduler has no DAB: every issue is an IQ issue.
+        assert s.dab_issues == 0
+        assert s.issued == len(issued) == 120
+        assert s.iq_residency_sum == sum(
+            i.issue_cycle - i.dispatch_cycle for i in issued
+        )
+        assert s.iq_residency_count == len(issued)
 
     def test_long_miss_classification_is_exact(self):
         """Only L2 misses are long misses, and a memory access sits
         *exactly* on the ``extra >= memory_latency`` boundary: cold
         4 KiB-strided loads must all be flagged, warmed L1 hits must
         not (catches both off-by-one directions and the swapped
-        comparison, on the inlined issue path and on the observed
-        ``_start_execution`` path)."""
-
-        class Rec(SMTProcessor):
-            def __init__(self, *a, **k):
-                super().__init__(*a, **k)
-                self.instrs = []
-
-            def new_instr(self, ts, idx, cycle):
-                di = super().new_instr(ts, idx, cycle)
-                self.instrs.append(di)
-                return di
-
-        class Hooked(Rec):
-            def _start_execution(self, instr, cycle, from_iq):
-                return super()._start_execution(instr, cycle, from_iq)
-
+        comparison on the IQ issue path; the DAB path has its own test
+        in tests/test_smt_core.py)."""
         tb = TraceBuilder()
         for i in range(8):
             tb.load(dest=1 + (i % 4), addr=0x200000 + i * 4096)
         for _ in range(10):
             tb.load(dest=5, addr=0x500)
-        trace = tb.build(warm_addrs=[0x500])
-        for cls in (Rec, Hooked):
-            core = cls(small_machine(), [trace])
-            s = core.run(10_000)
-            assert s.committed_total == 18
-            assert sum(i.long_miss for i in core.instrs) == 8
-            # The gauge balances: each of the 8 increments was paired
-            # with exactly one writeback decrement.
-            assert core.threads[0].pending_long_misses == 0
+        core = SMTProcessor(small_machine(), [tb.build(warm_addrs=[0x500])])
+        instrs = record_fetched(core)
+        s = core.run(10_000)
+        assert s.committed_total == 18
+        assert sum(i.long_miss for i in instrs) == 8
+        # The gauge balances: each of the 8 increments was paired
+        # with exactly one writeback decrement.
+        assert core.threads[0].pending_long_misses == 0
 
     def test_rotation_starts_at_the_current_cycle_thread(self):
         """Round-robin priority rotation: on cycle ``c`` the rotation
@@ -134,7 +109,7 @@ class TestIssueAccounting:
         traces = [mixed_trace(8) for _ in range(3)]
         core = SMTProcessor(small_machine(), traces)
         for c in range(4):
-            assert [ts.tid for ts in core._rotation(c)] == [
+            assert [ts.tid for ts in core._rotations[c % 3]] == [
                 (c + i) % 3 for i in range(3)
             ]
 

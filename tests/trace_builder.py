@@ -1,4 +1,5 @@
-"""Hand-built traces for precise pipeline behaviour tests."""
+"""Hand-built traces for precise pipeline behaviour tests, and an
+observer that records what the core fetches."""
 
 from __future__ import annotations
 
@@ -66,3 +67,33 @@ class TraceBuilder:
             warm_addrs=warm_addrs or [],
             warm_pcs=warm_pcs,
         )
+
+
+def record_fetched(core) -> list:
+    """Record every instruction ``core`` fetches from now on.
+
+    Wraps the core's cached fetch stage ``core._fetch_cycle``, the same
+    interception the ``repro.perf`` stage timers and the sanitizer's
+    contract checks use. Returns a live list of the fetched
+    ``DynInstr``s in ``seq`` order, squashed ones included.
+    """
+    fetched: list = []
+    fetch = core._fetch_cycle
+
+    def recording(c, cycle):
+        first = core._seq
+        n = fetch(c, cycle)
+        if n:
+            new = []
+            for ts in core.threads:
+                # Fetch appends to the tail of each thread's front-end pipe.
+                for _, instr in reversed(ts.pipe):
+                    if instr.seq < first:
+                        break
+                    new.append(instr)
+            new.sort(key=lambda instr: instr.seq)
+            fetched.extend(new)
+        return n
+
+    core._fetch_cycle = recording
+    return fetched
