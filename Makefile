@@ -5,7 +5,7 @@ export PYTHONPATH
 
 .PHONY: test lint flow races check-fast mutate mutate-smoke sanitize-smoke \
 	bench-sanitizer figures figures-parallel cache-clear cache-verify \
-	chaos-smoke serve-smoke profile perf-bench \
+	chaos-smoke profile perf-bench \
 	perf-gate ci
 
 test:
@@ -21,16 +21,14 @@ lint:
 
 # Whole-program pass: call-graph hotness (RPR009), determinism taint
 # (RPR010), stage access contracts (RPR011), worker pickle safety
-# (RPR012), async blocking I/O in the sweep service (RPR013). Accepted
-# legacy findings live in results/flow_baseline.json;
+# (RPR012). Accepted legacy findings live in results/flow_baseline.json;
 # refresh deliberately with:
 #   python -m repro.analysis flow src/repro --update-baseline
 flow:
 	python -m repro.analysis flow src/repro
 
 # Static concurrency pass: lockset consistency (RPR014), lock-order
-# cycles (RPR015), fork safety (RPR016), await atomicity (RPR017)
-# over the serve/exec runtime. The committed baseline
+# cycles (RPR015) and fork safety (RPR016). The committed baseline
 # (results/races_baseline.json) is empty and should stay that way;
 # refresh deliberately with:
 #   python -m repro.analysis races src/repro --update-baseline
@@ -81,14 +79,6 @@ cache-verify:
 chaos-smoke:
 	REPRO_CHAOS="kill=0.3,hang=0.05,corrupt=0.5,delay=0.2,dup=0.2,seed=7" \
 		python -m repro.exec chaos-smoke
-
-# Distributed analogue of chaos-smoke: boot a loopback sweep server
-# with 2 worker agents, submit a grid cold and warm, and assert both
-# runs are byte-identical to the single-host golden run with the warm
-# re-submission simulating nothing (see docs/distributed.md). Set
-# REPRO_CHAOS (incl. net_drop/net_dup/net_delay) for a fault drill.
-serve-smoke:
-	python -m repro.serve smoke --workers 2
 
 # cProfile hotspots + per-stage wall-clock breakdown of the cycle loop
 # (docs/performance.md).

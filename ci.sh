@@ -11,7 +11,6 @@
 #   - a short fully-sanitized end-to-end simulation;
 #   - a 2-worker sweep smoke asserting the result cache serves a warm
 #     rerun in full;
-#   - a loopback serve smoke;
 #   - a chaos smoke asserting a fault-injected sweep (worker
 #     kills/hangs, cache corruption) matches the fault-free golden run;
 #   - a perf gate that fails on a >15% cycles/s regression vs
@@ -37,17 +36,17 @@ fi
 echo "== lint: repro.analysis (simulator-specific rules) =="
 python -m repro.analysis lint src/repro benchmarks
 
-echo "== flow: repro.analysis (whole-program rules RPR009-RPR013) =="
+echo "== flow: repro.analysis (whole-program rules RPR009-RPR012) =="
 # Interprocedural pass: transitive hot closure, determinism taint,
 # stage access contracts, worker pickle safety. Accepted findings are
 # pinned in results/flow_baseline.json (picked up automatically).
 python -m repro.analysis flow src/repro
 
-echo "== races: repro.analysis (static concurrency rules RPR014-RPR017) =="
+echo "== races: repro.analysis (static concurrency rules RPR014-RPR016) =="
 # Context-aware pass over the same call graph: lockset consistency,
-# lock-order cycles, fork safety, await atomicity in the serve/exec
-# runtime. The committed baseline (results/races_baseline.json) is
-# empty — any finding here is a new concurrency hazard.
+# lock-order cycles and fork safety. The committed baseline
+# (results/races_baseline.json) is empty — any finding here is a new
+# concurrency hazard.
 python -m repro.analysis races src/repro
 
 echo "== mutation smoke (pinned 25-mutant sample, 2 workers) =="
@@ -107,13 +106,6 @@ print(
     f"0 simulations"
 )
 PY
-
-echo "== serve smoke (loopback sweep server + 2 worker agents) =="
-# Boots a sweep server and 2 loopback workers, submits the same grid
-# twice, and asserts the cold run matches the single-host golden run
-# byte-for-byte and the warm re-submission simulates nothing — the
-# shared cache served it in full (docs/distributed.md).
-python -m repro.serve smoke --workers 2
 
 echo "== chaos smoke (worker kills + hangs + cache corruption) =="
 # Deterministic fault injection: the chaotic run must finish and be

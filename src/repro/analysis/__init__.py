@@ -19,7 +19,7 @@ deadlock-avoidance buffer guarantees forward progress):
   call graph: it infers execution contexts (main/thread/async/
   handler/fork), computes interprocedural locksets, and checks
   Eraser-style lockset consistency (RPR014), lock-order cycles
-  (RPR015), fork safety (RPR016) and await-atomicity (RPR017);
+  (RPR015) and fork safety (RPR016);
 * :mod:`repro.analysis.contracts` — the ``@stage_contract`` declarations
   naming which architectural state each pipeline stage may read and
   write, consumed by the flow pass statically and the sanitizer

@@ -1,4 +1,4 @@
-"""Whole-program flow analysis: rules RPR009-RPR013.
+"""Whole-program flow analysis: rules RPR009-RPR012.
 
 The per-file lint pass (:mod:`repro.analysis.lint`) cannot see
 properties that only emerge *across* modules: a helper called from a
@@ -10,7 +10,7 @@ builds a project-wide symbol table and call graph — resolving imports,
 methods by class-attribute lookup (a name-based CHA), local aliases of
 bound methods (``fetch_thread = self._fetch_thread``) and the
 instance-attribute callables the perf layer wraps
-(``self._fetch_cycle = self.fetch_unit.fetch_cycle``) — and runs five
+(``self._fetch_cycle = self.fetch_unit.fetch_cycle``) — and runs four
 interprocedural rules on top of it:
 
 ========  ==============================================================
@@ -45,16 +45,6 @@ RPR012    fork/pickle safety — arguments shipped to ``repro.exec``
           function, or handle-holding objects (open files, locks,
           sockets, subprocesses): they either fail to pickle or
           silently duplicate OS state across ``fork()``
-RPR013    async-handler blocking I/O — no blocking call
-          (``time.sleep``, synchronous sockets/subprocesses, eager
-          ``Path`` file I/O) may be *transitively* reachable from an
-          ``async def`` in the sweep service (:mod:`repro.serve`): a
-          blocked event loop stalls every worker link and heartbeat at
-          once. The journal's fsync'd appends and the cache's atomic
-          writes are exempt — their synchronous durability *is* the
-          replication-log contract. A ``# repro: noqa[RPR013]`` on a
-          call line prunes that edge from the closure; on the blocking
-          line it suppresses the finding
 ========  ==============================================================
 
 Usage::
@@ -115,32 +105,7 @@ FLOW_RULES: dict[str, str] = {
     "RPR010": "wall-clock/entropy taint reaches simulation code",
     "RPR011": "pipeline stage touches state outside its @stage_contract",
     "RPR012": "unpicklable/fork-unsafe payload shipped to exec workers",
-    "RPR013": "blocking I/O reachable from async sweep-service handlers",
 }
-
-#: Call targets that block the calling thread (RPR013 seeds). Matched
-#: against the import-resolved canonical name, so ``from time import
-#: sleep as _sleep`` is still caught.
-_BLOCKING_CALLS = frozenset({
-    "time.sleep",
-    "select.select",
-    "socket.socket", "socket.create_connection", "socket.socketpair",
-    "subprocess.run", "subprocess.call", "subprocess.check_call",
-    "subprocess.check_output", "subprocess.Popen",
-    "os.system", "os.wait", "os.waitpid",
-})
-
-#: Blocking *method* names (eager whole-file I/O on Path-likes); the
-#: receiver is usually a local variable, so these match by suffix.
-_BLOCKING_METHODS = frozenset({
-    "read_text", "read_bytes", "write_text", "write_bytes",
-})
-
-#: Modules whose synchronous I/O is sanctioned even inside the async
-#: closure: the journal's fsync'd appends and the cache's atomic writes
-#: ARE the durability contract the service is built on (they run
-#: bounded, local file operations — never the network).
-_ASYNC_EXEMPT_SUFFIXES = ("exec/journal.py", "exec/cache.py")
 
 #: Call targets whose arguments cross the worker fork/pickle boundary.
 _SHIP_CALLS = frozenset({"SimJob", "execute_jobs"})
@@ -185,13 +150,13 @@ class FuncInfo:
     node: ast.FunctionDef | ast.AsyncFunctionDef
     hot: bool
     nested: dict[str, "FuncInfo"] = field(default_factory=dict)
+    enclosing: "FuncInfo | None" = None  # the def this one is nested in
     # filled by the scan pass:
     edges: list[tuple["FuncInfo", int]] = field(default_factory=list)
     accesses: list[tuple[str, bool, int, int]] = field(
         default_factory=list
     )  # (resource, is_write, line, col)
     taint_seeds: list[tuple[str, int]] = field(default_factory=list)
-    blocking_seeds: list[tuple[str, int]] = field(default_factory=list)
     contract: tuple[str, frozenset[str], frozenset[str]] | None = None
 
 
@@ -279,6 +244,7 @@ class Project:
                 uid=f"{mod.rel}:{qual}", rel=mod.rel, path=mod.path,
                 module=mod, name=node.name, qual=qual, cls=cls,
                 node=node, hot=is_hot_def(node, mod.hot_lines),
+                enclosing=owner,
             )
             info.contract = _contract_from_decorators(node)
             self.funcs[info.uid] = info
@@ -624,11 +590,6 @@ class _FuncScanner(ast.NodeVisitor):
         canonical = _canonical_call(func, self.mod)
         if canonical is not None and _is_taint_source(canonical):
             self.fn.taint_seeds.append((canonical, node.lineno))
-        if canonical is not None and (
-            canonical in _BLOCKING_CALLS
-            or canonical.rsplit(".", 1)[-1] in _BLOCKING_METHODS
-        ):
-            self.fn.blocking_seeds.append((canonical, node.lineno))
         if isinstance(func, ast.Attribute):
             method = func.attr
             # Receiver resource: a mutator call writes it.
@@ -721,9 +682,14 @@ class _FuncScanner(ast.NodeVisitor):
         return out
 
     def _name_target(self, name: str) -> FuncInfo | None:
-        fn = self.fn.nested.get(name)
-        if fn is not None:
-            return fn
+        # A def nested in this function or in any function enclosing
+        # it, so a nested helper's call to its sibling resolves.
+        scope: FuncInfo | None = self.fn
+        while scope is not None:
+            fn = scope.nested.get(name)
+            if fn is not None:
+                return fn
+            scope = scope.enclosing
         origin = self.mod.imports.get(name)
         if origin is not None:
             return self.project.resolve_symbol(origin)
@@ -1001,43 +967,6 @@ class _ShipScanner(ast.NodeVisitor):
                                f"a handle-holding {ctor}() object")
 
 
-def _check_async_blocking(project: Project) -> list[Violation]:
-    """RPR013: blocking I/O in the transitive closure of the sweep
-    service's ``async def`` handlers.
-
-    Seeds are every async function in a ``serve`` package; the closure
-    walks the same call graph (and honours the same edge pruning) as
-    RPR009-RPR011. Callables merely *passed* to ``asyncio.to_thread``
-    or ``run_in_executor`` create no call edge, so thread-offloaded
-    blocking work is structurally outside the closure — exactly the
-    sanctioned escape hatch.
-    """
-    seeds = [
-        fn for fn in project.funcs.values()
-        if isinstance(fn.node, ast.AsyncFunctionDef)
-        and "serve" in fn.rel.split("/")
-    ]
-    reached = _closure(project, seeds, "RPR013")
-    out: list[Violation] = []
-    for fn, chain in reached.values():
-        if fn.rel.endswith(_ASYNC_EXEMPT_SUFFIXES):
-            continue
-        for canonical, line in fn.blocking_seeds:
-            out.append(Violation(
-                path=fn.path, line=line, col=0, code="RPR013",
-                message=(
-                    f"{fn.qual}() calls blocking {canonical}() and is "
-                    f"reachable from the async sweep service via "
-                    f"{chain}; a blocked event loop stalls every "
-                    "worker link at once — offload it "
-                    "(asyncio.to_thread / run_in_executor), use the "
-                    "async equivalent, or mark "
-                    "'# repro: noqa[RPR013] — why'"
-                ),
-            ))
-    return out
-
-
 def _check_ship_safety(project: Project) -> list[Violation]:
     out: list[Violation] = []
     for mod in project.modules.values():
@@ -1108,7 +1037,6 @@ def flow_paths(paths: list[Path],
         + _check_taint(project)
         + _check_contracts(project)
         + _check_ship_safety(project)
-        + _check_async_blocking(project)
     ))
     if baseline:
         violations, _stale = split_baseline(violations, baseline)

@@ -633,7 +633,7 @@ def main(argv: list[str] | None = None) -> int:
                         "findings and exit 0")
     r = sub.add_parser(
         "races",
-        help="run the whole-program concurrency pass (RPR014-RPR017)",
+        help="run the whole-program concurrency pass (RPR014-RPR016)",
     )
     r.add_argument("paths", nargs="+", type=Path,
                    help="package roots to analyse (e.g. src/repro)")

@@ -1,12 +1,11 @@
-"""Whole-program static concurrency analysis (RPR014-RPR017).
+"""Whole-program static concurrency analysis (RPR014-RPR016).
 
-The serve/exec runtime is a zoo of execution contexts: an asyncio
-``SweepServer`` loop, a ``LocalCluster`` respawn supervisor thread,
-forked pool workers with heartbeat pipes, and atexit/signal reapers.
+The exec runtime runs code in several execution contexts: forked pool
+workers with heartbeat threads, the parent's pool loop, and the atexit
+reaper; the simulator's warm-state memo may be filled from threads.
 The byte-identity guarantee rests on those contexts never tearing each
-other's state, and PR 8 already shipped one race fix (the drain-time
-write to closed ledgers). This pass makes that class of defect a CI
-regression instead of a production incident.
+other's state. This pass makes that class of defect a CI regression
+instead of a production incident.
 
 It layers on the flow engine's project symbol table and call graph
 (:mod:`repro.analysis.flow`) and runs in three phases:
@@ -28,7 +27,7 @@ It layers on the flow engine's project symbol table and call graph
    interprocedural fixpoint that pushes locksets across call edges
    (a callee's entry lockset is the intersection over its call sites).
 
-3. **Four graph rules** over the result::
+3. **Three graph rules** over the result::
 
        RPR014  shared state (class attrs of context-escaping classes,
                module globals) written from >= 2 contexts with no lock
@@ -38,11 +37,9 @@ It layers on the flow engine's project symbol table and call graph
        RPR016  fork/Process spawn while a lock may be held, or a
                thread/lock/handle-holding object inherited by the
                forked child
-       RPR017  async read-modify-write of server state spanning an
-               ``await`` with no guard (the PR-8 drain interleaving)
 
 Ergonomics match flow: ``# repro: noqa[RPR01x] — why`` suppression
-(on an access, acquisition, fork site, or write line), a committed
+(on an access, acquisition or fork site), a committed
 line-free baseline at ``results/races_baseline.json`` with
 ``--update-baseline`` and stale detection, ``--json`` via
 ``stable_dumps``, and the shared exit-code vocabulary.
@@ -87,7 +84,6 @@ RACES_RULES: dict[str, str] = {
     "RPR015": "lock-order cycle across contexts (potential deadlock)",
     "RPR016": "fork while a lock may be held, or unsafe state "
               "inherited by a forked child",
-    "RPR017": "async read-modify-write spans an await with no guard",
 }
 
 #: The execution-context vocabulary, in display order.
@@ -955,160 +951,11 @@ def _check_fork_safety(project: Project, locks: dict[str, _FnLocks],
     return out
 
 
-class _AwaitWalker:
-    """RPR017 per-coroutine walk: a monotonically increasing *await
-    epoch* advances at every ``await`` in source order; a write to
-    ``self.X`` whose last read happened in an earlier epoch (and was
-    not refreshed since) is a stale read-modify-write — unless a lock
-    is must-held at the write (``async with self._lock:`` regions are
-    part of the lockset walk, so ``must_at`` already covers them)."""
-
-    def __init__(self, fn: FuncInfo, index: _LockIndex,
-                 fl: _FnLocks) -> None:
-        self.fn = fn
-        self.index = index
-        self.fl = fl
-        self.epoch = 0
-        self.read_epoch: dict[str, int] = {}
-        self.out: list[Violation] = []
-
-    def run(self) -> list[Violation]:
-        self._walk(self.fn.node.body)
-        return self.out
-
-    def _eligible(self, attr: str) -> bool:
-        fn = self.fn
-        return (
-            fn.cls is not None
-            and attr in fn.module.class_attr_aliases.get(fn.cls, {})
-            and not self.index.is_sync_attr(fn.rel, fn.cls, attr)
-        )
-
-    def _reads_writes(self, stmt: ast.stmt,
-                      ) -> tuple[set[str], list[tuple[str, ast.AST]]]:
-        reads: set[str] = set()
-        writes: list[tuple[str, ast.AST]] = []
-        for node in ast.walk(stmt):
-            if (isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "self"
-                    and self._eligible(node.attr)):
-                if isinstance(node.ctx, (ast.Store, ast.Del)):
-                    writes.append((node.attr, node))
-                else:
-                    reads.add(node.attr)
-            elif isinstance(node, ast.Subscript) and isinstance(
-                    node.ctx, (ast.Store, ast.Del)):
-                base = _unwrap_container(node)
-                if (isinstance(base, ast.Attribute)
-                        and isinstance(base.value, ast.Name)
-                        and base.value.id == "self"
-                        and self._eligible(base.attr)):
-                    writes.append((base.attr, node))
-            elif (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _MUTATORS):
-                base = _unwrap_container(node.func.value)
-                if (isinstance(base, ast.Attribute)
-                        and isinstance(base.value, ast.Name)
-                        and base.value.id == "self"
-                        and self._eligible(base.attr)):
-                    writes.append((base.attr, node))
-        return reads, writes
-
-    def _stmt(self, stmt: ast.stmt) -> None:
-        awaits = sum(isinstance(n, ast.Await) for n in ast.walk(stmt))
-        reads, writes = self._reads_writes(stmt)
-        for attr in reads:
-            self.read_epoch[attr] = self.epoch
-        for attr, node in writes:
-            last_read = self.read_epoch.get(attr)
-            stale = last_read is not None and last_read < self.epoch
-            intra = awaits > 0 and attr in reads
-            line = getattr(node, "lineno", stmt.lineno)
-            if ((stale or intra)
-                    and not self.fl.must_at(line)):
-                self.out.append(Violation(
-                    path=self.fn.path, line=line,
-                    col=getattr(node, "col_offset", 0), code="RPR017",
-                    message=(
-                        f"read-modify-write of {self.fn.cls}."
-                        f"{attr} spans an await with no lock in "
-                        f"{self.fn.qual} (stale by the time it "
-                        f"writes; re-read after the await or guard "
-                        f"it)"
-                    ),
-                ))
-        self.epoch += awaits
-        for attr, _node in writes:
-            self.read_epoch[attr] = self.epoch
-
-    def _expr(self, expr: ast.expr | None) -> None:
-        if expr is None:
-            return
-        holder = ast.Expr(value=expr)
-        ast.copy_location(holder, expr)
-        self._stmt(holder)
-
-    def _walk(self, body: list[ast.stmt]) -> None:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                for item in stmt.items:
-                    self._expr(item.context_expr)
-                self._walk(stmt.body)
-            elif isinstance(stmt, ast.If):
-                self._expr(stmt.test)
-                self._walk(stmt.body)
-                self._walk(stmt.orelse)
-            elif isinstance(stmt, ast.While):
-                self._expr(stmt.test)
-                self._walk(stmt.body)
-                self._walk(stmt.orelse)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._expr(stmt.iter)
-                if isinstance(stmt, ast.AsyncFor):
-                    self.epoch += 1
-                self._walk(stmt.body)
-                self._walk(stmt.orelse)
-            elif isinstance(stmt, ast.Try):
-                self._walk(stmt.body)
-                for handler in stmt.handlers:
-                    self._walk(handler.body)
-                self._walk(stmt.orelse)
-                self._walk(stmt.finalbody)
-            elif isinstance(stmt, ast.Match):
-                self._expr(stmt.subject)
-                for case in stmt.cases:
-                    self._walk(case.body)
-            else:
-                self._stmt(stmt)
-
-
-def _check_await_atomicity(project: Project, index: _LockIndex,
-                           locks: dict[str, _FnLocks],
-                           ) -> list[Violation]:
-    """RPR017 over the async sweep-service handler closure (the same
-    ``serve`` seed population RPR013 uses)."""
-    out: list[Violation] = []
-    for fn in sorted(project.funcs.values(), key=lambda f: f.uid):
-        if not isinstance(fn.node, ast.AsyncFunctionDef):
-            continue
-        if "serve" not in fn.rel.split("/"):
-            continue
-        if fn.cls is None:
-            continue
-        out.extend(_AwaitWalker(fn, index, locks[fn.uid]).run())
-    return out
-
-
 # ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
 def analyze_project(project: Project) -> list[Violation]:
-    """Run RPR014-RPR017 over a built project (noqa not yet applied)."""
+    """Run RPR014-RPR016 over a built project (noqa not yet applied)."""
     ctx = infer_contexts(project)
     index = _LockIndex(project)
     locks = compute_locksets(project, ctx, index)
@@ -1117,7 +964,6 @@ def analyze_project(project: Project) -> list[Violation]:
         _check_locksets(project, ctx, locks, by_var)
         + _check_lock_order(project, locks)
         + _check_fork_safety(project, locks, index)
-        + _check_await_atomicity(project, index, locks)
     )
 
 

@@ -75,7 +75,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         journal_dir=journal_dir, run_id=args.run_id, resume=True,
     )
     if args.jobs is not None:
-        executor = dataclasses.replace(executor, jobs=max(1, args.jobs))
+        executor = dataclasses.replace(executor, jobs=args.jobs)
     try:
         _, report = execute_jobs(jobs, executor)
     except ExecutionError as exc:

@@ -87,8 +87,7 @@ def _repro_version() -> str:
 
 @dataclass(frozen=True, slots=True)
 class CacheStats:
-    """Aggregate numbers for ``repro.exec cache stats`` (and the sweep
-    server's ``/v1/cache`` endpoint, which serves this same struct)."""
+    """Aggregate numbers for ``repro.exec cache stats``."""
 
     root: str
     entries: int
@@ -110,7 +109,7 @@ class CacheStats:
     runs: int = 0
 
     def as_dict(self) -> dict[str, object]:
-        """JSON-safe form (shared by ``--json`` and ``/v1/cache``)."""
+        """JSON-safe form (``cache stats --json``)."""
         return {
             "root": self.root,
             "entries": self.entries,
@@ -245,7 +244,7 @@ class ResultCache:
         Written (atomically, like entries) at the end of every
         journalled run by :meth:`repro.exec.ledger.JobLedger.summarize`;
         ``stats`` aggregates them so hit rates survive across
-        processes and are visible to ``cache stats`` / ``/v1/cache``.
+        processes and are visible to ``cache stats``.
         Re-running the same grid overwrites its own counter file (run
         ids are content-derived), so warm reruns update rather than
         double-count.

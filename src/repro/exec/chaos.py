@@ -30,25 +30,10 @@ Knobs: ``kill`` / ``hang`` / ``delay`` / ``dup`` / ``corrupt``
 (probabilities), ``seed`` (int), ``delay_max`` / ``hang_seconds``
 (seconds). ``REPRO_CHAOS=0`` (or unset) disables injection entirely.
 
-The distributed sweep service (:mod:`repro.serve`) adds *network*
-fault sites between the server and its remote workers: any protocol
-message may be dropped, duplicated or delayed, each decided purely in
-``(seed, site, message key, attempt)`` like every other fault. Knobs:
-``net_drop`` / ``net_dup`` / ``net_delay`` (probabilities) and
-``net_delay_max`` (seconds). A dropped job assignment or result is
-indistinguishable from a lost worker — the server's deadline/watchdog
-machinery re-shards the job, and the headline invariant still holds:
-the sweep's results are byte-identical to a fault-free single-host run
-(``tests/test_serve.py``).
-
-Two further serve-side faults: ``net_refuse`` makes a client
-connection attempt fail with a refusal (as if the server were down or
-its listen backlog full), keyed by ``(site, server, attempt)`` so
-client backoff retries converge; and ``slow`` makes a worker
-*heartbeat-but-slow* — it keeps beating (so the hang watchdog stays
-quiet) yet sits on the job for ``slow_seconds`` before running it,
-which only the per-job deadline can reap. Together they drive the
-client's retry/backoff path and the server's per-job deadline.
+One further fault: ``slow`` makes a worker *heartbeat-but-slow* — it
+keeps beating (so the hang watchdog stays quiet) yet sits on the job
+for ``slow_seconds`` before running it, which only the per-job timeout
+can reap.
 """
 
 from __future__ import annotations
@@ -96,22 +81,9 @@ class ChaosConfig:
     #: How long a hung worker sleeps; the watchdog (or the per-job
     #: timeout) is expected to reap it long before this elapses.
     hang_seconds: float = 3600.0
-    #: Probability a server<->worker protocol message is dropped on the
-    #: floor (the sender believes it was sent; nobody receives it).
-    net_drop_p: float = 0.0
-    #: Probability a server<->worker protocol message is delivered twice.
-    net_dup_p: float = 0.0
-    #: Probability a server<->worker protocol message is delayed by up
-    #: to ``net_delay_max`` seconds before delivery.
-    net_delay_p: float = 0.0
-    #: Upper bound of an injected network delay, seconds.
-    net_delay_max: float = 0.05
-    #: Probability a client connection attempt is refused outright
-    #: (``ConnectionRefusedError``), as if the server were down.
-    net_refuse_p: float = 0.0
     #: Probability a worker goes *heartbeat-but-slow* on a job attempt:
     #: it keeps beating but sleeps ``slow_seconds`` before running, so
-    #: only the per-job deadline (never the hang watchdog) can reap it.
+    #: only the per-job timeout (never the hang watchdog) can reap it.
     slow_p: float = 0.0
     #: How long a slow worker sits on the job before running it.
     slow_seconds: float = 0.25
@@ -123,17 +95,7 @@ class ChaosConfig:
         return any(
             p > 0.0
             for p in (self.kill_p, self.hang_p, self.delay_p, self.dup_p,
-                      self.corrupt_p, self.net_drop_p, self.net_dup_p,
-                      self.net_delay_p, self.net_refuse_p, self.slow_p)
-        )
-
-    @property
-    def net_enabled(self) -> bool:
-        """Whether any *network* fault site is active (the protocol
-        layer checks this before paying per-frame RNG draws)."""
-        return any(
-            p > 0.0
-            for p in (self.net_drop_p, self.net_dup_p, self.net_delay_p)
+                      self.corrupt_p, self.slow_p)
         )
 
     @classmethod
@@ -154,10 +116,7 @@ class ChaosConfig:
         """Parse a ``kill=0.3,seed=7``-style spec string."""
         aliases = {
             "kill": "kill_p", "hang": "hang_p", "delay": "delay_p",
-            "dup": "dup_p", "corrupt": "corrupt_p",
-            "net_drop": "net_drop_p", "net_dup": "net_dup_p",
-            "net_delay": "net_delay_p", "net_refuse": "net_refuse_p",
-            "slow": "slow_p",
+            "dup": "dup_p", "corrupt": "corrupt_p", "slow": "slow_p",
         }
         known = {f.name: f for f in fields(cls)}
         kwargs: dict[str, object] = {}
@@ -214,50 +173,11 @@ class ChaosConfig:
         """Whether the worker delivers its result twice."""
         return self._u("dup", job_hash, attempt) < self.dup_p
 
-    # ------------------------------------------------------------------
-    # network sites (repro.serve server <-> worker messages)
-    # ------------------------------------------------------------------
-    def net_fault(self, site: str, key: str, attempt: int) -> str | None:
-        """None, or what happens to this protocol message: "drop" (never
-        delivered) or "dup" (delivered twice).
-
-        ``site`` names the link direction (e.g. ``serve-dispatch``,
-        ``serve-result``); ``key``/``attempt`` identify the message so
-        a retried attempt draws fresh faults and eventually gets
-        through (drop probability ``p`` -> terminal-loss probability
-        ``p**(retries+1)``, same shape as worker kills).
-        """
-        u = self._u("net", site, key, attempt)
-        if u < self.net_drop_p:
-            return "drop"
-        if u < self.net_drop_p + self.net_dup_p:
-            return "dup"
-        return None
-
-    def net_delay(self, site: str, key: str, attempt: int) -> float:
-        """Injected delivery delay (seconds) for one protocol message;
-        0 = deliver immediately."""
-        if self._u("net-delay", site, key, attempt) >= self.net_delay_p:
-            return 0.0
-        return (self._u("net-delay-len", site, key, attempt)
-                * self.net_delay_max)
-
-    def should_refuse(self, site: str, key: str, attempt: int) -> bool:
-        """Whether a client connection attempt is refused outright.
-
-        Keyed by ``(site, key, attempt)`` — typically ``key`` is the
-        server URL and ``attempt`` the client's retry counter — so a
-        backing-off client draws fresh refusal decisions each retry and
-        terminal refusal has probability ``p**(retries+1)``, the same
-        convergence shape as every other injected fault.
-        """
-        return self._u("net-refuse", site, key, attempt) < self.net_refuse_p
-
     def slow_delay(self, job_hash: str, attempt: int) -> float:
         """Seconds a heartbeat-but-slow worker sits on this attempt
         before running it; 0 = full speed. Unlike :meth:`should_hang`
         the worker keeps heartbeating throughout, so the hang watchdog
-        must stay quiet and only the per-job deadline can intervene."""
+        must stay quiet and only the per-job timeout can intervene."""
         if self._u("slow", job_hash, attempt) >= self.slow_p:
             return 0.0
         return self.slow_seconds

@@ -25,20 +25,8 @@ rebuild the grid without the original driver script.
 
 Run ids are content-derived (a hash of the batch's job hashes), so the
 same grid always journals to the same file; starting a *fresh* run of a
-grid whose journal already exists atomically rotates the old journal
-(and any of its segments) aside to ``<run-id>.jsonl.1`` first.
-
-**Size rotation.** Long-lived writers (the sweep server journals every
-transition of every submission) can cap the active file with
-``rotate_bytes``: once the active file exceeds the cap, it is atomically
-renamed to ``<run-id>.jsonl.seg<N>`` and appending continues in a fresh
-``<run-id>.jsonl``. Loading replays the segments in order, then the
-active file, *as one logical byte stream* — so a record torn at the
-rotation seam (a fragment at the tail of one segment whose continuation
-is at the head of the next file, exactly what a reader racing a
-rotation observes) is stitched back together instead of rejected. Only
-the final line of the final file may be torn without a continuation;
-it is truncated away on resume like the single-file case always was.
+grid whose journal already exists atomically moves the old journal
+aside to ``<run-id>.jsonl.1`` first.
 """
 
 from __future__ import annotations
@@ -96,68 +84,37 @@ class RunJournal:
     """
 
     def __init__(self, root: str | Path, run_id: str,
-                 resume: bool = False,
-                 rotate_bytes: int | None = None) -> None:
+                 resume: bool = False) -> None:
         self.root = Path(root)
         self.run_id = run_id
         self.path = self.root / f"{run_id}.jsonl"
         self.root.mkdir(parents=True, exist_ok=True)
-        #: Active-file size cap; exceeding it rotates the file to a
-        #: ``.seg<N>`` segment. None = never rotate mid-run.
-        self.rotate_bytes = rotate_bytes
         #: job hash -> decoded result, from prior ``done`` records.
         self._completed: dict[str, object] = {}
         #: job hash -> fingerprint payload, in first-queued order.
         self._fingerprints: dict[str, dict] = {}
         self._seq = 0
-        if self.path.exists() or self._segments():
+        if self.path.exists():
             if resume:
                 self._load()
             else:
-                self._rotate_aside()
+                os.replace(self.path, self.path.with_name(
+                    self.path.name + ".1"
+                ))
         self._fd: int | None = os.open(
             self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
         )
-        self._size = os.fstat(self._fd).st_size
 
     # ------------------------------------------------------------------
-    def _segments(self) -> list[Path]:
-        """Mid-run size-rotation segments, in write (ascending) order."""
-        out = []
-        for path in self.root.glob(f"{self.path.name}.seg*"):
-            suffix = path.name[len(self.path.name) + 4:]
-            if suffix.isdigit():
-                out.append((int(suffix), path))
-        return [p for _, p in sorted(out)]
-
-    def _rotate_aside(self) -> None:
-        """Archive a prior run of the same grid before starting fresh:
-        the active file and every segment move under a ``.1`` prefix."""
-        for seg in self._segments():
-            os.replace(seg, self.path.with_name(
-                f"{self.path.name}.1{seg.name[len(self.path.name):]}"
-            ))
-        if self.path.exists():
-            os.replace(self.path, self.path.with_name(
-                self.path.name + ".1"
-            ))
-
     def _load(self) -> None:
-        """Replay an existing journal (segments + active file).
+        """Replay an existing journal.
 
-        The files are parsed as one concatenated byte stream, so a
-        record torn across a rotation seam — the tail fragment of one
-        segment continued at the head of the next file — is recovered
-        intact. Tolerates exactly the damage a crash can cause beyond
-        that: a torn final line (no trailing newline / truncated JSON)
-        is skipped and truncated from disk. Any *earlier* malformed
-        line means outside interference and raises.
+        Tolerates exactly the damage a crash can cause: a torn final
+        line (no trailing newline / truncated JSON) is skipped and
+        truncated from disk. Any *earlier* malformed line means outside
+        interference and raises.
         """
-        files = self._segments()
-        if self.path.exists():
-            files.append(self.path)
-        blobs = [path.read_bytes() for path in files]
-        blob = b"".join(blobs)
+        blob = self.path.read_bytes()
         lines = blob.split(b"\n")
         parsed = 0
         for i, line in enumerate(lines):
@@ -172,7 +129,7 @@ class RunJournal:
                     # disk too, or the records this resume appends
                     # would concatenate onto it and damage the journal
                     # for every later load.
-                    self._truncate_tail(files, blobs, len(line))
+                    os.truncate(self.path, len(blob) - len(line))
                     break
                 raise ValueError(
                     f"journal {self.path} is damaged at line {i + 1}"
@@ -180,17 +137,6 @@ class RunJournal:
             self._absorb(rec)
             parsed += 1
         self._seq = parsed
-
-    def _truncate_tail(self, files: list[Path], blobs: list[bytes],
-                       drop: int) -> None:
-        """Remove the torn final ``drop`` bytes, walking backwards over
-        the physical files they may span."""
-        for path, data in zip(reversed(files), reversed(blobs)):
-            if drop <= 0:
-                break
-            keep = max(0, len(data) - drop)
-            os.truncate(path, keep)
-            drop -= len(data) - keep
 
     def _absorb(self, rec: dict) -> None:
         event = rec.get("event")
@@ -216,34 +162,10 @@ class RunJournal:
         rec.update(fields)
         line = json.dumps(rec, sort_keys=True,
                           separators=(",", ":")) + "\n"
-        data = line.encode("utf-8")
-        os.write(self._fd, data)
+        os.write(self._fd, line.encode("utf-8"))
         os.fsync(self._fd)
-        self._size += len(data)
         self._seq += 1
         self._absorb(rec)
-        if self.rotate_bytes is not None and self._size >= self.rotate_bytes:
-            self._rotate_segment()
-
-    def _rotate_segment(self) -> None:
-        """Roll the active file over to the next ``.seg<N>`` segment.
-
-        Readers racing this rename see either the old layout or the new
-        one (``os.replace`` is atomic); either way :meth:`_load`'s
-        concatenated replay yields the same record stream.
-        """
-        segs = self._segments()
-        next_n = 1
-        if segs:
-            next_n = int(segs[-1].name.rsplit("seg", 1)[1]) + 1
-        os.close(self._fd)
-        os.replace(self.path, self.path.with_name(
-            f"{self.path.name}.seg{next_n}"
-        ))
-        self._fd = os.open(
-            self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        self._size = 0
 
     def record_queued(self, job, job_hash: str) -> None:
         """Record a queued job with its reconstruction fingerprint."""

@@ -1,15 +1,14 @@
-"""Transport-agnostic job-lifecycle state machine for grid execution.
+"""Job-lifecycle state machine for grid execution.
 
-Historically :func:`repro.exec.pool.execute_jobs` owned the whole job
-lifecycle inline: journal replay, the warm-cache pass, per-transition
-journalling, retry accounting, result caching and progress events. The
-distributed sweep service (:mod:`repro.serve`) needs exactly the same
-state machine — driven by messages arriving from remote workers instead
-of forked children — so it lives here as :class:`JobLedger`, and both
-the local pool and the server drive it.
+:func:`repro.exec.pool.execute_jobs` has two runners: in-process and
+the forked worker farm. Both need the same lifecycle — journal replay,
+the warm-cache pass, per-transition journalling, retry accounting,
+result caching and progress events — so it lives here as
+:class:`JobLedger`, and each runner only decides where and when a job
+runs.
 
-A ledger owns one batch of jobs and guarantees, regardless of who
-executes them:
+A ledger owns one batch of jobs and guarantees, regardless of which
+runner executes them:
 
 * **replay first** — :meth:`open` replays any previously-journalled
   ``done`` records (resume), then consults the
@@ -17,18 +16,16 @@ executes them:
   never recomputed;
 * **every transition journalled** — ``queued``/``started``/``retried``/
   ``done``/``failed``/``interrupted`` records are appended (fsync'd)
-  exactly as the single-host executor always wrote them, which is what
-  makes the journal a replication log: a server crash loses nothing and
+  before the runner moves on, so a crash loses nothing and
   ``python -m repro.exec resume <run-id>`` works on a journal written
-  by either driver;
+  by either runner;
 * **results land once** — :meth:`complete` caches (for
   :class:`~repro.exec.jobs.SimJob` results), records and emits in one
   step, keeping :class:`ExecReport` counts consistent with the journal;
 * **per-run cache counters** — on :meth:`summarize` the hit/miss
   counts of the run are persisted next to the cache
   (``<cache root>/runs/<run-id>.json``), feeding
-  ``python -m repro.exec cache stats`` and the server's ``/v1/cache``
-  endpoint.
+  ``python -m repro.exec cache stats``.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ class ExecReport:
     cached: int = 0
     #: Jobs replayed from a prior run's journal without simulating.
     resumed: int = 0
-    #: Jobs actually simulated (in-process, in a worker, or remotely).
+    #: Jobs actually simulated (in-process or in a worker).
     simulated: int = 0
     #: Jobs that exhausted their retry budget.
     failed: int = 0
@@ -67,24 +64,6 @@ class ExecReport:
     def completed(self) -> int:
         """Jobs resolved so far (cached + resumed + simulated + failed)."""
         return self.cached + self.resumed + self.simulated + self.failed
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON-safe summary (the serve protocol ships this)."""
-        return {
-            "total": self.total,
-            "cached": self.cached,
-            "resumed": self.resumed,
-            "simulated": self.simulated,
-            "failed": self.failed,
-            "retried": self.retried,
-            "run_id": self.run_id,
-            "failures": [
-                {"job": f.job.describe(),
-                 "fingerprint": f.job.fingerprint_payload(),
-                 "message": f.message}
-                for f in self.job_failures
-            ],
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,7 +91,7 @@ ProgressFn = Callable[[ExecProgress], None]
 class JobLedger:
     """Job-lifecycle bookkeeping for one batch, however it executes.
 
-    The driver (local pool or sweep server) decides *where* and *when*
+    The runner (in-process or forked pool) decides *where* and *when*
     each pending job runs; the ledger decides what that means for the
     journal, the cache, the report and the progress stream. Transitions
     are methods: :meth:`start`, :meth:`retry`, :meth:`complete`,
@@ -155,7 +134,7 @@ class JobLedger:
         """Journal the batch header, replay, and run the cache pass.
 
         Returns the indices still pending (to be executed by the
-        driver), in submission order.
+        runner), in submission order.
         """
         self._opened = True
         journal = self.journal
@@ -206,9 +185,9 @@ class JobLedger:
     def retry(self, idx: int, attempt: int, error: str | None) -> bool:
         """A failed attempt: consume retry budget if any remains.
 
-        Returns True (and records the retry) when the driver should
+        Returns True (and records the retry) when the runner should
         re-execute the job with ``attempt + 1``; False when the budget
-        is exhausted and the driver must call :meth:`fail`.
+        is exhausted and the runner must call :meth:`fail`.
         """
         if attempt >= self.retries:
             return False
@@ -221,9 +200,7 @@ class JobLedger:
     def complete(self, idx: int, payload: object) -> None:
         """Job ``idx`` produced ``payload``: cache, journal, emit."""
         if self.cache is not None and isinstance(payload, JobResult):
-            # The cache's atomic write is the sanctioned synchronous
-            # helper of the async service (docs/distributed.md).
-            self.cache.put(self.jobs[idx], payload)  # repro: noqa[RPR013]
+            self.cache.put(self.jobs[idx], payload)
         self.results[idx] = payload
         self.report.simulated += 1
         if self.journal is not None:

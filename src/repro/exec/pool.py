@@ -3,10 +3,9 @@
 :func:`execute_jobs` is the single entry point every sweep, figure
 driver and benchmark routes through. It
 
-* drives a :class:`~repro.exec.ledger.JobLedger` — the transport-
-  agnostic job-lifecycle state machine shared with the distributed
-  sweep service (:mod:`repro.serve`) — which replays any previously-
-  journalled results first (``resume``), then consults the
+* drives a :class:`~repro.exec.ledger.JobLedger` — the job-lifecycle
+  state machine both local runners share — which replays any
+  previously-journalled results first (``resume``), then consults the
   :class:`~repro.exec.cache.ResultCache` (when one is configured), so
   an interrupted or warm rerun performs zero re-simulation of
   completed grid points;
@@ -26,11 +25,7 @@ driver and benchmark routes through. It
   delay/duplication, cache corruption) from a seeded
   :class:`~repro.exec.chaos.ChaosConfig` — the test-enforced invariant
   is that a chaotic run's results are byte-identical to a fault-free
-  run's;
-* ships the whole batch to a remote sweep server instead when
-  ``ExecutorConfig.server`` (or ``REPRO_SERVER``) names one — same
-  results, same report, computed by the worker fleet attached to that
-  server (see ``docs/distributed.md``).
+  run's.
 
 Determinism: workers only ever *compute* — each job is an independent
 pure function of its content (see :mod:`repro.exec.jobs`), results are
@@ -116,9 +111,7 @@ class ExecutorConfig:
     """How a grid should be executed.
 
     ``jobs=1`` (the default) runs in-process with no behavioural change
-    from the historical serial path; ``jobs>1`` forks worker processes;
-    ``server=...`` ships the batch to a :mod:`repro.serve` sweep server
-    instead of executing locally.
+    from the historical serial path; ``jobs>1`` forks worker processes.
     """
 
     jobs: int = 1
@@ -155,11 +148,6 @@ class ExecutorConfig:
     #: workloads where individual failures are data, not errors —
     #: mutation analysis treats a crashing mutant as a kill.
     tolerate_failures: bool = False
-    #: Base URL of a ``repro.serve`` sweep server (``http://host:port``).
-    #: When set, the batch is submitted there and executed by the
-    #: server's worker fleet; ``jobs``/``timeout``/``watchdog`` become
-    #: server-side concerns. See docs/distributed.md.
-    server: str | None = None
 
     def __post_init__(self) -> None:
         # Reject here, not in the farm: a non-positive timeout or
@@ -192,8 +180,7 @@ class ExecutorConfig:
         the run journal; ``REPRO_RESUME=1`` resumes from it;
         ``REPRO_CHAOS`` configures fault injection (see
         :mod:`repro.exec.chaos`); ``REPRO_WATCHDOG`` overrides the hung
-        -worker grace in seconds (``0`` disables); ``REPRO_SERVER``
-        routes execution to a remote sweep server.
+        -worker grace in seconds (``0`` disables).
         """
         jobs = int(os.environ.get("REPRO_JOBS", "1"))
         cache_flag = os.environ.get("REPRO_CACHE")
@@ -206,13 +193,12 @@ class ExecutorConfig:
         if watchdog_env is not None:
             watchdog = float(watchdog_env) or None
         return cls(
-            jobs=max(1, jobs),
+            jobs=jobs,
             cache_dir=default_cache_dir() if cached else None,
             journal_dir=journal_dir_from_env(),
             resume=os.environ.get("REPRO_RESUME", "0") not in ("", "0"),
             chaos=ChaosConfig.from_env(),
             watchdog=watchdog,
-            server=os.environ.get("REPRO_SERVER", "").strip() or None,
         )
 
     def with_cache_dir(self, cache_dir: str | Path | None) -> "ExecutorConfig":
@@ -260,20 +246,6 @@ def execute_jobs(jobs: Sequence[SimJob],
     exactly the incomplete remainder.
     """
     cfg = executor if executor is not None else ExecutorConfig()
-    if cfg.server is not None:
-        # Remote execution: the sweep server's ledger does the
-        # journalling/caching server-side; imported lazily so local
-        # execution never pays for the client.
-        from repro.serve.client import SweepClient
-
-        results, report = SweepClient(cfg.server, chaos=cfg.chaos).execute(
-            jobs, progress)
-        if report.job_failures and not cfg.tolerate_failures:
-            raise ExecutionError(report.job_failures, report)
-        if cfg.tolerate_failures:
-            return list(results), report
-        return [r for r in results if r is not None], report
-
     cache = (ResultCache(cfg.cache_dir, chaos=cfg.chaos)
              if cfg.cache_dir is not None else None)
     hashes = [job.content_hash() for job in jobs]

@@ -59,10 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="replay completed jobs from existing journals "
                         "instead of re-simulating them; implies --journal")
-    p.add_argument("--server", type=str, default=None, metavar="URL",
-                   help="route the grid through a repro.serve sweep "
-                        "server (http://host:port); overrides "
-                        "$REPRO_SERVER (see docs/distributed.md)")
     _add_common(p)
 
     p = sub.add_parser("classify", help="single-thread ILP classification")
@@ -108,11 +104,9 @@ def main(argv: list[str] | None = None) -> int:
 
         executor = ExecutorConfig.from_env(default_cache=args.cache)
         if args.jobs is not None:
-            executor = dataclasses.replace(executor, jobs=max(1, args.jobs))
+            executor = dataclasses.replace(executor, jobs=args.jobs)
         if args.cache_dir is not None:
             executor = executor.with_cache_dir(args.cache_dir)
-        if args.server is not None:
-            executor = dataclasses.replace(executor, server=args.server)
         if args.journal is not None or args.resume:
             from repro.exec import default_journal_dir
 

@@ -887,8 +887,8 @@ class SMTProcessor:
         if warmup:
             self._warm_up(warmup)
         state = _WarmState.capture(self, traces)
-        # Serve workers build cores on threads; two may race to build one
-        # key, and both then store the same state.
+        # Cores may be built on threads; two may race to build one key,
+        # and both then store the same state.
         with _WARM_STATE_LOCK:
             if len(_WARM_STATE) >= _WARM_STATE_MAX:
                 _WARM_STATE.pop(next(iter(_WARM_STATE)), None)

@@ -109,6 +109,27 @@ class TestExecutorConfigValidation:
         with pytest.raises(ValueError, match="watchdog"):
             ExecutorConfig.from_env()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_from_env_rejects_non_positive_jobs(self, monkeypatch, value):
+        # Used to be clamped to 1: REPRO_JOBS=0 ran serially, silently.
+        monkeypatch.setenv("REPRO_JOBS", value)
+        with pytest.raises(ValueError, match="jobs"):
+            ExecutorConfig.from_env()
+
+    def test_figure_cli_rejects_zero_jobs(self, monkeypatch):
+        from repro.experiments.cli import main as cli_main
+
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        with pytest.raises(ValueError, match="jobs"):
+            cli_main(["figure", "3", "--jobs", "0"])
+
+    def test_resume_cli_rejects_zero_jobs(self, tmp_path):
+        jobs = [tiny_job()]
+        _, report = execute_jobs(jobs, ExecutorConfig(journal_dir=tmp_path))
+        with pytest.raises(ValueError, match="jobs"):
+            exec_main(["resume", report.run_id, "--journal-dir",
+                       str(tmp_path), "--jobs", "0"])
+
 
 # ----------------------------------------------------------------------
 # SimJob content hashing

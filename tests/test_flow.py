@@ -417,193 +417,6 @@ class TestRPR012:
 
 
 # ----------------------------------------------------------------------
-# RPR013 — blocking I/O reachable from async sweep-service handlers
-# ----------------------------------------------------------------------
-class TestRPR013:
-    FILES = {
-        "serve/app.py": """\
-            import time
-
-
-            async def handler():
-                return helper()
-
-
-            def helper():
-                time.sleep(0.1)
-            """,
-    }
-
-    def test_blocking_call_in_async_closure_flagged(self, tmp_path):
-        violations = flow(tmp_path, self.FILES)
-        assert codes(violations) == ["RPR013"]
-        v = violations[0]
-        assert v.path.endswith("serve/app.py")
-        assert "time.sleep" in v.message
-        assert "handler -> helper" in v.message
-
-    def test_blocking_method_seed_in_handler_itself(self, tmp_path):
-        violations = flow(tmp_path, {
-            "serve/app.py": """\
-                async def handler(path):
-                    return path.read_text()
-                """,
-        })
-        assert codes(violations) == ["RPR013"]
-        assert "read_text" in violations[0].message
-
-    def test_only_serve_packages_are_seeded(self, tmp_path):
-        # The same shape outside a serve package is not this rule's
-        # business (async code elsewhere has no heartbeat to stall).
-        files = {"web/app.py": self.FILES["serve/app.py"]}
-        assert flow(tmp_path, files) == []
-
-    def test_sync_serve_code_not_seeded(self, tmp_path):
-        violations = flow(tmp_path, {
-            "serve/tools.py": """\
-                import time
-
-
-                def cli_entry():
-                    time.sleep(0.1)
-                """,
-        })
-        assert violations == []
-
-    def test_socket_create_connection_seed_fires(self, tmp_path):
-        violations = flow(tmp_path, {
-            "serve/app.py": """\
-                import socket
-
-
-                async def handler():
-                    return socket.create_connection(("localhost", 80))
-                """,
-        })
-        assert codes(violations) == ["RPR013"]
-        assert "socket.create_connection" in violations[0].message
-
-    def test_select_select_seed_fires(self, tmp_path):
-        violations = flow(tmp_path, {
-            "serve/app.py": """\
-                import select
-
-
-                async def handler(rd):
-                    return select.select([rd], [], [], 0.5)
-                """,
-        })
-        assert codes(violations) == ["RPR013"]
-        assert "select.select" in violations[0].message
-
-    def test_subprocess_run_seed_fires(self, tmp_path):
-        violations = flow(tmp_path, {
-            "serve/app.py": """\
-                import subprocess
-
-
-                async def handler():
-                    return subprocess.run(["true"], check=True)
-                """,
-        })
-        assert codes(violations) == ["RPR013"]
-        assert "subprocess.run" in violations[0].message
-
-    def test_run_in_executor_is_the_escape_hatch(self, tmp_path):
-        # Callables merely passed to run_in_executor create no call
-        # edge: thread-offloaded blocking work is structurally outside
-        # the async closure.
-        violations = flow(tmp_path, {
-            "serve/app.py": """\
-                import time
-
-
-                async def handler(loop, pool):
-                    return await loop.run_in_executor(pool, helper)
-
-
-                def helper():
-                    time.sleep(0.1)
-                """,
-        })
-        assert violations == []
-
-    def test_noqa_on_call_edge_prunes_closure(self, tmp_path):
-        violations = flow(tmp_path, {
-            "serve/app.py": """\
-                import time
-
-
-                async def handler():
-                    return helper()  # repro: noqa[RPR013]
-
-
-                def helper():
-                    time.sleep(0.1)
-                """,
-        })
-        assert violations == []
-
-    def test_admin_and_health_handlers_are_seeded(self, tmp_path):
-        # The overload surface (drain/health admin handlers) is async
-        # like every other handler: blocking work in its closure stalls
-        # heartbeats exactly the same way and must be flagged.
-        violations = flow(tmp_path, {
-            "serve/app.py": """\
-                import time
-
-
-                async def _post_drain(writer):
-                    return _settle()
-
-
-                async def _get_health(writer):
-                    return {"state": "serving"}
-
-
-                def _settle():
-                    time.sleep(0.5)
-                """,
-        })
-        assert codes(violations) == ["RPR013"]
-        assert "_post_drain -> _settle" in violations[0].message
-
-    def test_async_sleep_inside_drain_loop_is_fine(self, tmp_path):
-        # The real drain grace loop awaits asyncio.sleep — cooperative,
-        # not blocking — so the closure stays clean.
-        violations = flow(tmp_path, {
-            "serve/app.py": """\
-                import asyncio
-
-
-                async def drain(grace):
-                    while True:
-                        await asyncio.sleep(0.05)
-                """,
-        })
-        assert violations == []
-
-    def test_journal_and_cache_modules_exempt(self, tmp_path):
-        # The fsync'd journal/cache appends are the service's designated
-        # synchronous core; reaching them from a handler is sanctioned.
-        violations = flow(tmp_path, {
-            "serve/app.py": """\
-                from exec.journal import append
-
-
-                async def handler():
-                    return append()
-                """,
-            "exec/journal.py": """\
-                def append():
-                    import subprocess
-                    subprocess.run(["sync"])
-                """,
-        })
-        assert violations == []
-
-
-# ----------------------------------------------------------------------
 # RPR000 — parse errors surface through the flow pass too
 # ----------------------------------------------------------------------
 def test_syntax_error_reported(tmp_path):

@@ -313,18 +313,15 @@ def _lock_sites(rel: str) -> list[dict[str, object]]:
 
 
 class TestConcurrencyOperators:
-    SCOPE = [REPO_ROOT / "src" / "repro" / "serve",
-             REPO_ROOT / "src" / "repro" / "exec"]
+    SCOPE = [REPO_ROOT / "src" / "repro" / "exec"]
 
     def test_lock_guard_mutants_are_killed_by_the_races_layer(self):
-        """Pinned 5-site smoke: deleting any shipped lock guard must
-        light up the static concurrency pass."""
+        """Pinned 5-site smoke: deleting any shipped lock guard of the
+        pool must light up the static concurrency pass."""
         from repro.analysis.races import races_paths
 
-        pool_sites = _lock_sites("src/repro/exec/pool.py")
-        cluster_sites = _lock_sites("src/repro/serve/cluster.py")
-        assert len(pool_sites) + len(cluster_sites) >= 5
-        pinned = pool_sites[:3] + cluster_sites[:2]
+        pinned = _lock_sites("src/repro/exec/pool.py")
+        assert len(pinned) == 5
         assert races_paths(self.SCOPE) == []
         for spec in pinned:
             path = REPO_ROOT / str(spec["path"])

@@ -1,11 +1,11 @@
 """Tests for the static concurrency pass (``repro.analysis.races``).
 
-Each rule (RPR014-RPR017) gets an injected-violation fixture, a
+Each rule (RPR014-RPR016) gets an injected-violation fixture, a
 near-miss that must stay clean, and a suppression check; plus
 execution-context inference units (thread/async/fork/signal roots),
 lockset joins over branches, a lock-order cycle of length 3, the
 baseline mechanism (round-trip + line-shift stability), the CLI exit
-codes, runtime regression hammers for the serve/exec fixes this pass
+codes, a runtime regression hammer for the exec fix this pass
 motivated, and an end-to-end check that the shipped ``src/repro`` tree
 is clean against the committed baseline.
 """
@@ -138,6 +138,32 @@ class TestContextInference:
         assert ctx.kinds["app.py:coro"] == frozenset({"async"})
         assert ctx.kinds["app.py:helper"] == frozenset({"async"})
         assert ctx.kinds["app.py:harness"] == frozenset({"main"})
+
+    def test_sibling_nested_call_inherits_context(self, tmp_path):
+        # The pool's shape: a nested helper called only from its
+        # sibling, inside a function that runs on another context.
+        project = build_project([write_tree(tmp_path, {
+            "app.py": """\
+                import threading
+
+                def outer():
+                    def close():
+                        pass
+
+                    def finish():
+                        close()
+
+                    finish()
+
+                def main():
+                    threading.Thread(target=outer).start()
+                """,
+        })])
+        ctx = infer_contexts(project)
+        assert ctx.kinds.get("app.py:outer.<locals>.finish") == \
+            frozenset({"thread"})
+        assert ctx.kinds.get("app.py:outer.<locals>.close") == \
+            frozenset({"thread"})
 
     def test_self_method_registration_marks_class_escaping(self, tmp_path):
         project = build_project([write_tree(tmp_path, {
@@ -587,103 +613,6 @@ class TestRPR016:
 
 
 # ----------------------------------------------------------------------
-# RPR017 — await atomicity
-# ----------------------------------------------------------------------
-class TestRPR017:
-    FILES = {
-        "serve/app.py": """\
-            import asyncio
-
-            class Server:
-                def __init__(self):
-                    self.pending = 0
-                    self._lock = asyncio.Lock()
-
-                async def handle(self):
-                    count = self.pending
-                    await asyncio.sleep(0)
-                    self.pending = count + 1
-            """,
-    }
-
-    def test_stale_rmw_across_await_flagged(self, tmp_path):
-        violations = races(tmp_path, self.FILES)
-        assert codes(violations) == ["RPR017"]
-        v = violations[0]
-        assert "Server.pending" in v.message
-        assert "Server.handle" in v.message
-
-    def test_guarded_rmw_is_clean(self, tmp_path):
-        violations = races(tmp_path, {
-            "serve/app.py": """\
-                import asyncio
-
-                class Server:
-                    def __init__(self):
-                        self.pending = 0
-                        self._lock = asyncio.Lock()
-
-                    async def handle(self):
-                        async with self._lock:
-                            count = self.pending
-                            await asyncio.sleep(0)
-                            self.pending = count + 1
-                """,
-        })
-        assert violations == []
-
-    def test_reread_after_await_is_clean(self, tmp_path):
-        violations = races(tmp_path, {
-            "serve/app.py": """\
-                import asyncio
-
-                class Server:
-                    def __init__(self):
-                        self.pending = 0
-
-                    async def handle(self):
-                        count = self.pending
-                        await asyncio.sleep(0)
-                        self.pending = self.pending + 1
-                        return count
-                """,
-        })
-        assert violations == []
-
-    def test_intra_statement_await_rmw_flagged(self, tmp_path):
-        violations = races(tmp_path, {
-            "serve/app.py": """\
-                class Server:
-                    def __init__(self):
-                        self.pending = 0
-
-                    async def handle(self):
-                        self.pending = await self.fetch(self.pending)
-
-                    async def fetch(self, x):
-                        return x + 1
-                """,
-        })
-        assert codes(violations) == ["RPR017"]
-
-    def test_only_serve_handlers_are_seeded(self, tmp_path):
-        files = {
-            "batch/app.py": self.FILES["serve/app.py"],
-        }
-        assert races(tmp_path, files) == []
-
-    def test_noqa_on_write_line_suppresses(self, tmp_path):
-        violations = races(tmp_path, {
-            "serve/app.py": self.FILES["serve/app.py"].replace(
-                "self.pending = count + 1",
-                "self.pending = count + 1  # repro: noqa[RPR017] — "
-                "handle() runs once per boot",
-            ),
-        })
-        assert violations == []
-
-
-# ----------------------------------------------------------------------
 # baseline mechanism
 # ----------------------------------------------------------------------
 class TestBaseline:
@@ -801,7 +730,7 @@ class TestCli:
 
 
 # ----------------------------------------------------------------------
-# runtime regressions for the serve/exec fixes this pass motivated
+# runtime regression for the exec fix this pass motivated
 # ----------------------------------------------------------------------
 class _FakeProc:
     """Stands in for a multiprocessing.Process in registry hammers."""
@@ -856,35 +785,6 @@ class TestRuntimeRegressions:
             writer.join()
         assert not failures
         assert pool.live_worker_count() == 0
-
-    def test_cluster_spawn_bookkeeping_is_thread_safe(self, monkeypatch):
-        import multiprocessing
-
-        from repro.serve.cluster import LocalCluster
-
-        class _FakeCtx:
-            def Process(self, *args, **kwargs):
-                return _FakeProc()
-
-        monkeypatch.setattr(multiprocessing, "get_context",
-                            lambda kind: _FakeCtx())
-        cluster = LocalCluster(workers=0)
-        threads = [
-            threading.Thread(
-                target=lambda: [cluster._spawn_worker()
-                                for _ in range(50)],
-            )
-            for _ in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # Pre-fix the unguarded counter/list/dict updates could tear
-        # between the supervisor thread and the harness thread.
-        assert cluster._spawned == 400
-        assert len(cluster._procs) == 400
-        assert set(cluster._spawn_info) == set(cluster._procs)
 
 
 # ----------------------------------------------------------------------

@@ -296,6 +296,35 @@ class TestDeadlockMachinery:
         assert head.issued
         assert core.stats.dab_issues == 1
 
+    @pytest.mark.parametrize("in_dab, in_iq, dab_issues, left", [
+        (3, 0, 2, 1),   # more ready DAB entries than issue width
+        (1, 1, 1, 0),   # the DAB issue leaves one slot for the IQ
+    ], ids=["dab-over-width", "dab-then-iq"])
+    def test_dab_issue_is_bounded_by_issue_width(self, in_dab, in_iq,
+                                                 dab_issues, left):
+        """Ready DAB entries issue first, at most ``issue_width`` per
+        cycle, and the IQ gets whatever width is left."""
+        from repro.pipeline.dynamic import DynInstr
+
+        cfg = tiny_machine(scheduler="2op_ooo", deadlock_buffer_size=3)
+        core = SMTProcessor(cfg, [TraceBuilder().nops(4).build()])
+        instrs = [
+            DynInstr(tid=0, seq=seq, tseq=seq, op=int(OpClass.IALU), pc=0,
+                     addr=0, taken=False, target=0, dest_l=-1, src1_l=-1,
+                     src2_l=-1, fetch_cycle=0)
+            for seq in range(in_dab + in_iq)
+        ]
+        for instr in instrs[:in_dab]:
+            core.dab.insert(instr, 0)
+        for instr in instrs[in_dab:]:
+            core.iq.insert(instr, 0)
+        core.threads[0].icount = len(instrs)
+
+        core._issue(cycle=1)
+        assert core.stats.dab_issues == dab_issues
+        assert core.stats.issued == cfg.issue_width == 2
+        assert len(core.dab.entries) == left
+
     @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
     def test_dab_issued_load_accesses_memory_and_wakes_dependents(self, cold):
         """The §4 rescue end to end: two cold loads feed an NDI load,
@@ -412,3 +441,34 @@ class TestWarmStateMemo:
             assert len(smt_core._WARM_STATE) == limit
         finally:
             clear_warm_state_cache()
+
+    def test_memo_is_read_and_written_under_its_lock(self, monkeypatch):
+        """Cores may be built on threads (tests/test_warmstate.py), so
+        every lookup and store of the memo must hold its lock."""
+        lock = smt_core._WARM_STATE_LOCK
+
+        class Guarded(dict):
+            def get(self, *args):
+                assert lock.locked(), "memo read without its lock"
+                return super().get(*args)
+
+            def __setitem__(self, key, value):
+                assert lock.locked(), "memo written without its lock"
+                super().__setitem__(key, value)
+
+        memo = Guarded()
+        monkeypatch.setattr(smt_core, "_WARM_STATE", memo)
+        builds = [0]
+        install = SMTProcessor._install_residency
+
+        def counting(core):
+            builds[0] += 1
+            install(core)
+
+        monkeypatch.setattr(SMTProcessor, "_install_residency", counting)
+        cfg = tiny_machine()
+        trace = TraceBuilder().nops(8).build()
+        SMTProcessor(cfg, [trace])  # a miss: looked up, then stored
+        SMTProcessor(cfg, [trace])  # a hit
+        assert builds[0] == 1
+        assert len(memo) == 1
