@@ -3,7 +3,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test lint flow races check-fast mutate mutate-smoke sanitize-smoke \
+.PHONY: test lint flow check-fast mutate mutate-smoke sanitize-smoke \
 	bench-sanitizer figures figures-parallel cache-clear cache-verify \
 	chaos-smoke profile perf-bench \
 	perf-gate ci
@@ -27,21 +27,12 @@ lint:
 flow:
 	python -m repro.analysis flow src/repro
 
-# Static concurrency pass: lockset consistency (RPR014), lock-order
-# cycles (RPR015) and fork safety (RPR016). The committed baseline
-# (results/races_baseline.json) is empty and should stay that way;
-# refresh deliberately with:
-#   python -m repro.analysis races src/repro --update-baseline
-races:
-	python -m repro.analysis races src/repro
-
-# Pre-push fast path: the three static passes narrowed to findings in
+# Pre-push fast path: the two static passes narrowed to findings in
 # files changed versus main (the whole program is still analysed —
-# closures and contexts need every module — only reporting narrows).
+# closures need every module — only reporting narrows).
 check-fast:
 	python -m repro.analysis lint src/repro benchmarks --changed-only
 	python -m repro.analysis flow src/repro --changed-only
-	python -m repro.analysis races src/repro --changed-only
 
 # Full mutation run over the pipeline hot/contract closure: every
 # operator at every site, pushed through the static → sanitizer →

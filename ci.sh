@@ -6,7 +6,6 @@
 #   - lint: ruff (when installed) and the repro.analysis pass;
 #   - whole-program flow analysis (call-graph hotness, determinism
 #     taint, stage contracts, worker pickle safety);
-#   - static concurrency analysis (races);
 #   - a pinned 25-mutant mutation smoke;
 #   - a short fully-sanitized end-to-end simulation;
 #   - a 2-worker sweep smoke asserting the result cache serves a warm
@@ -41,13 +40,6 @@ echo "== flow: repro.analysis (whole-program rules RPR009-RPR012) =="
 # stage access contracts, worker pickle safety. Accepted findings are
 # pinned in results/flow_baseline.json (picked up automatically).
 python -m repro.analysis flow src/repro
-
-echo "== races: repro.analysis (static concurrency rules RPR014-RPR016) =="
-# Context-aware pass over the same call graph: lockset consistency,
-# lock-order cycles and fork safety. The committed baseline
-# (results/races_baseline.json) is empty — any finding here is a new
-# concurrency hazard.
-python -m repro.analysis races src/repro
 
 echo "== mutation smoke (pinned 25-mutant sample, 2 workers) =="
 # Measures the detection power of everything above: a deterministic

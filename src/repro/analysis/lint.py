@@ -631,22 +631,6 @@ def main(argv: list[str] | None = None) -> int:
     f.add_argument("--update-baseline", action="store_true",
                    help="rewrite the baseline file with the current "
                         "findings and exit 0")
-    r = sub.add_parser(
-        "races",
-        help="run the whole-program concurrency pass (RPR014-RPR016)",
-    )
-    r.add_argument("paths", nargs="+", type=Path,
-                   help="package roots to analyse (e.g. src/repro)")
-    _add_shared_flags(r)
-    r.add_argument("--baseline", type=Path, default=None,
-                   help="suppress findings recorded in this baseline "
-                        "file (default: results/races_baseline.json at "
-                        "the repository root, when present)")
-    r.add_argument("--no-baseline", action="store_true",
-                   help="ignore any baseline, report everything")
-    r.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline file with the current "
-                        "findings and exit 0")
     m = sub.add_parser(
         "mutate",
         help="mutation analysis: measure oracle detection power",
@@ -666,10 +650,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.analysis.flow import run_flow_cli
 
         return run_flow_cli(args)
-    if args.command == "races":
-        from repro.analysis.races import run_races_cli
-
-        return run_races_cli(args)
     if args.command == "mutate":
         from repro.analysis.mutate import run_mutate_cli
 

@@ -361,7 +361,6 @@ def _static_findings(pkg_root: Path, target: Path, source: str,
     replaced by ``source`` in memory. Paths repo-root-relative."""
     from repro.analysis.flow import flow_paths
     from repro.analysis.lint import discover_declared_counters, lint_source
-    from repro.analysis.races import races_paths
 
     declared = discover_declared_counters([pkg_root])
     triples: set[tuple[str, str, str]] = set()
@@ -370,9 +369,6 @@ def _static_findings(pkg_root: Path, target: Path, source: str,
         triples.add((rel, v.code, v.message))
     overrides = {str(target.resolve()): source}
     for v in flow_paths([pkg_root], overrides=overrides):
-        vrel = Path(v.path).resolve().relative_to(repo_root).as_posix()
-        triples.add((vrel, v.code, v.message))
-    for v in races_paths([pkg_root], overrides=overrides):
         vrel = Path(v.path).resolve().relative_to(repo_root).as_posix()
         triples.add((vrel, v.code, v.message))
     return [list(t) for t in sorted(triples)]
@@ -591,7 +587,8 @@ def sample_ids(ids: list[str], sample: int, seed: int) -> list[str]:
 
 
 def _tree_sha(pkg_root: Path) -> str:
-    """Digest over every source file the dynamic oracles can reach."""
+    """Digest over every source file the oracles can reach, the
+    analysers behind the static layer included."""
     entries = []
     for path in sorted(pkg_root.rglob("*.py")):
         if "__pycache__" in path.parts:
@@ -612,6 +609,7 @@ def _layer_payload(layer: str, site: MutationSite, context: dict,
         "layer": layer,
         "mutant": site.spec(),
         "source_sha": context["source_shas"][site.path],
+        "tree_sha": context["tree_sha"],
         "timeout": context["timeout"],
     }
     if layer == "static":
@@ -619,13 +617,11 @@ def _layer_payload(layer: str, site: MutationSite, context: dict,
         payload["static_base"] = context["static_base"][site.path]
     elif layer in ("sanitizer", "stats"):
         payload["scenarios"] = [dict(s) for s in SCENARIOS]
-        payload["tree_sha"] = context["tree_sha"]
         if layer == "stats":
             payload["golden"] = context["golden"]
     elif layer == "tests":
         payload["tests"] = list(PINNED_TESTS)
         payload["tests_sha"] = context["tests_sha"]
-        payload["tree_sha"] = context["tree_sha"]
     return payload
 
 

@@ -24,9 +24,7 @@ minmax-swap     swap ``min()`` and ``max()`` — credit clamping and
 const-nudge     nudge an integer literal inside a comparison by +1
                 — latencies, widths, sizes
 lock-drop       delete a ``with <lock>:`` guard (``if True:`` keeps
-                the body) — unguarded shared state, the RPR014 class
-lock-swap       swap two lock acquisitions in one ``with a, b:`` —
-                inverted lock order, the RPR015 deadlock class
+                the body) — unguarded shared state
 ==============  ========================================================
 
 The module is deliberately dumb and pure: :func:`proposals_for` says
@@ -60,7 +58,6 @@ OPERATORS: dict[str, str] = {
     "minmax-swap": "swap min() and max()",
     "const-nudge": "nudge an integer literal in a comparison by +1",
     "lock-drop": "delete a lock guard (with lock: body → if True: body)",
-    "lock-swap": "swap two lock acquisitions (with a, b: → with b, a:)",
 }
 
 _CMP_BOUNDARY: dict[type, type] = {
@@ -79,8 +76,7 @@ _COUNTER_HINT = re.compile(
 )
 
 #: Lock-named context managers (``with self._lock:``, ``with
-#: _LIVE_LOCK:``) — the concurrency-fault sites. Kept in sync with the
-#: races engine's name heuristic.
+#: _LIVE_LOCK:``) — the concurrency-fault sites.
 _LOCKISH_HINT = re.compile(r"(^|_)(lock|mutex)(_|$)", re.IGNORECASE)
 
 
@@ -144,13 +140,9 @@ def proposals_for(node: ast.AST) -> list[tuple[str, int]]:
             and node.func.id in ("min", "max") and node.args
             and not node.keywords):
         out.append(("minmax-swap", 0))
-    elif isinstance(node, (ast.With, ast.AsyncWith)):
-        locky = [i for i, item in enumerate(node.items)
-                 if _lockish_item(item)]
-        if locky:
-            out.append(("lock-drop", 0))
-        if len(locky) >= 2:
-            out.append(("lock-swap", 0))
+    elif (isinstance(node, (ast.With, ast.AsyncWith))
+            and any(_lockish_item(item) for item in node.items)):
+        out.append(("lock-drop", 0))
     return out
 
 
@@ -188,12 +180,6 @@ def build_mutation(node: ast.AST, op: str, slot: int) -> ast.AST:
             ast.If(test=ast.Constant(True), body=new.body, orelse=[]),
             node,
         ))
-    elif op == "lock-swap":
-        first, second = [i for i, item in enumerate(new.items)
-                         if _lockish_item(item)][:2]
-        new.items[first], new.items[second] = (
-            new.items[second], new.items[first]
-        )
     else:
         raise ValueError(f"unknown mutation operator {op!r}")
     return ast.fix_missing_locations(new)

@@ -11,7 +11,13 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.util.validate import check_positive, check_power_of_two, check_range
+from repro.util.validate import (
+    check_field_types,
+    check_positive,
+    check_power_of_two,
+    check_range,
+    check_type,
+)
 
 #: Scheduler/dispatch designs evaluated in the paper.
 #:
@@ -45,6 +51,7 @@ class CacheConfig:
     hit_latency: int
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         check_positive("size_bytes", self.size_bytes)
         check_positive("assoc", self.assoc)
         check_power_of_two("line_bytes", self.line_bytes)
@@ -78,6 +85,9 @@ class MemoryConfig:
     memory_latency: int = 150
 
     def __post_init__(self) -> None:
+        check_field_types(self)
+        for name in ("l1i", "l1d", "l2"):
+            check_type(name, getattr(self, name), CacheConfig)
         check_positive("memory_latency", self.memory_latency)
 
 
@@ -91,6 +101,7 @@ class BranchPredictorConfig:
     btb_assoc: int = 2
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         check_power_of_two("gshare_entries", self.gshare_entries)
         check_range("history_bits", self.history_bits, 1, 30)
         check_power_of_two("btb_entries", self.btb_entries)
@@ -176,6 +187,9 @@ class MachineConfig:
     bp: BranchPredictorConfig = field(default_factory=BranchPredictorConfig)
 
     def __post_init__(self) -> None:
+        check_field_types(self)
+        check_type("mem", self.mem, MemoryConfig)
+        check_type("bp", self.bp, BranchPredictorConfig)
         for name in (
             "fetch_width",
             "decode_width",

@@ -100,9 +100,9 @@ _DEFAULT_WATCHDOG_SECONDS = 30.0
 #: child can outlive the harness.
 _LIVE_WORKERS: set = set()
 
-#: Guards _LIVE_WORKERS: the pool mutates it per spawn/reap while the
-#: atexit sweep (a distinct execution context — it can interleave with
-#: a pool unwinding after an interrupt) snapshots and drains it.
+#: Guards _LIVE_WORKERS, which every execute_jobs call in the process
+#: shares: once one runs off the main thread, another pool,
+#: live_worker_count or the atexit sweep can touch the set concurrently.
 _LIVE_LOCK = threading.Lock()
 
 

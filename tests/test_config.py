@@ -135,6 +135,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             MemoryConfig(memory_latency=0)
 
+    @pytest.mark.parametrize("base, field, value", [
+        # Each of these used to construct, then fail deep in a run,
+        # run to completion on a fractional machine, or read True as 1.
+        (MachineConfig(), "iq_size", 16.5),
+        (MachineConfig(), "fetch_width", 2.5),
+        (MachineConfig(), "rob_size", 96.0),
+        (MachineConfig(), "deadlock_buffer_size", True),
+        (MachineConfig(), "sanitize", 1),
+        (MachineConfig(), "dab_exclusive", "no"),
+        (MachineConfig(), "mem", None),
+        (MachineConfig(), "bp", MemoryConfig()),
+        (CacheConfig(1024, 2, 64, 1), "size_bytes", 1024.0),
+        (MemoryConfig(), "memory_latency", 150.0),
+        (MemoryConfig(), "l2", None),
+        (BranchPredictorConfig(), "history_bits", False),
+    ])
+    def test_wrongly_typed_field_rejected(self, base, field, value):
+        with pytest.raises(TypeError, match=field):
+            dataclasses.replace(base, **{field: value})
+
 
 class TestReplaceAndHashing:
     def test_replace_returns_new_config(self):

@@ -4,13 +4,15 @@ Covers the determinism guarantee (jobs=1 vs jobs=4 byte-identical over
 a >= 12-point grid), every cache path (hit / miss / corrupt entry /
 schema mismatch), worker-crash retry and per-job timeout, content-hash
 stability, input validation at job and executor-config construction,
-and the slot-trace memoisation in the runner.
+the live-worker registry's lock, and the slot-trace memoisation in the
+runner.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -426,6 +428,94 @@ class TestExecuteJobs:
         assert str(ex.cache_dir) == str(tmp_path)
         monkeypatch.setenv("REPRO_CACHE", "0")
         assert ExecutorConfig.from_env(default_cache=True).cache_dir is None
+
+
+# ----------------------------------------------------------------------
+# the live-worker registry and its lock
+# ----------------------------------------------------------------------
+class _FakeProc:
+    """Stands in for an exited multiprocessing.Process in the registry."""
+
+    def is_alive(self) -> bool:
+        return False
+
+    def join(self, timeout=None) -> None:
+        return None
+
+
+class TestLiveWorkerRegistry:
+    def test_registry_is_touched_only_under_its_lock(self, monkeypatch):
+        """Every add, discard and snapshot of the live-worker set holds
+        _LIVE_LOCK, and no worker is forked while the lock is held: the
+        child would inherit a locked lock that nobody can release."""
+        lock = pool_mod._LIVE_LOCK
+
+        class Guarded(set):
+            def add(self, proc):
+                assert lock.locked(), "worker registered without _LIVE_LOCK"
+                super().add(proc)
+
+            def discard(self, proc):
+                assert lock.locked(), "worker dropped without _LIVE_LOCK"
+                super().discard(proc)
+
+            def __iter__(self):
+                assert lock.locked(), "registry read without _LIVE_LOCK"
+                return super().__iter__()
+
+        registry = Guarded()
+        monkeypatch.setattr(pool_mod, "_LIVE_WORKERS", registry)
+        fork = os.fork
+        locked_at_fork = []
+
+        def watched_fork():
+            locked_at_fork.append(lock.locked())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", watched_fork)
+        _, report = execute_jobs(
+            [tiny_job(), tiny_job(seed=1)], ExecutorConfig(jobs=2)
+        )
+        assert report.simulated == 2
+        assert locked_at_fork == [False, False]
+        assert not registry
+        proc = _FakeProc()
+        with lock:
+            registry.add(proc)
+        assert pool_mod.live_worker_count() == 0
+        pool_mod._reap_orphans()
+        assert not registry
+        pool_mod._reap(proc)
+
+    def test_live_worker_registry_survives_concurrent_churn(self):
+        stop = threading.Event()
+        failures: list[BaseException] = []
+
+        def churn() -> None:
+            try:
+                while not stop.is_set():
+                    procs = [_FakeProc() for _ in range(50)]
+                    with pool_mod._LIVE_LOCK:
+                        pool_mod._LIVE_WORKERS.update(procs)
+                    with pool_mod._LIVE_LOCK:
+                        pool_mod._LIVE_WORKERS.difference_update(procs)
+            except BaseException as exc:  # pragma: no cover
+                failures.append(exc)
+
+        writer = threading.Thread(target=churn)
+        writer.start()
+        try:
+            # Readers that iterated the live set directly died with
+            # "Set changed size during iteration".
+            for _ in range(300):
+                pool_mod.live_worker_count()
+                pool_mod._reap_orphans()
+        finally:
+            stop.set()
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert not failures
+        assert pool_mod.live_worker_count() == 0
 
 
 # ----------------------------------------------------------------------

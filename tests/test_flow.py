@@ -187,6 +187,26 @@ class TestCallGraph:
         assert codes(violations) == ["RPR009"]
         assert "IssueQueue.insert()" in violations[0].message
 
+    def test_sibling_nested_call_resolves(self, tmp_path):
+        # The pool's shape: a nested helper called only from its
+        # sibling, so the name lives in the enclosing def's scope.
+        project = build_project([write_tree(tmp_path, {
+            "app.py": """\
+                def outer():
+                    def close():
+                        pass
+
+                    def finish():
+                        close()
+
+                    finish()
+                """,
+        })])
+        finish = project.funcs["app.py:outer.<locals>.finish"]
+        assert [callee.uid for callee, _line in finish.edges] == [
+            "app.py:outer.<locals>.close"
+        ]
+
 
 # ----------------------------------------------------------------------
 # RPR010 — determinism taint

@@ -27,6 +27,7 @@ from repro.analysis.mutate import (
     select_sites,
     _fork_run,
 )
+from repro.exec.jobs import WorkJob
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PIPELINE = REPO_ROOT / "src" / "repro" / "pipeline"
@@ -58,8 +59,7 @@ def _sites():
 def test_operator_enumeration_covers_the_fault_classes():
     ops = {s.op for s in _sites()}
     assert {"cmp-boundary", "cmp-swap", "const-nudge", "stat-drop",
-            "stat-double", "mod-shift", "minmax-swap", "lock-drop",
-            "lock-swap"} <= ops
+            "stat-double", "mod-shift", "minmax-swap", "lock-drop"} <= ops
     assert ops <= set(OPERATORS)
 
 
@@ -229,6 +229,25 @@ def test_report_attributes_each_kill_to_exactly_one_layer():
     assert report["kill_matrix"]["timeout"] == 1
 
 
+def test_every_layer_job_is_keyed_on_the_tree():
+    """A cached outcome must not outlive a change elsewhere in the
+    package: in the analysers, or in code the mutated function calls."""
+    site = _sites()[0]
+
+    def job_hash(layer: str, tree_sha: str) -> str:
+        context = {
+            "source_shas": {site.path: "src"}, "tree_sha": tree_sha,
+            "tests_sha": "tests", "timeout": 1.0, "pkg_root_rel": "pkg",
+            "static_base": {site.path: []}, "golden": {},
+        }
+        payload = mutate._layer_payload(layer, site, context)
+        return WorkJob(entry="repro.analysis.mutate:run_layer_job",
+                       payload=payload, kind="mutate").content_hash()
+
+    for layer in mutate.LAYERS:
+        assert job_hash(layer, "a") != job_hash(layer, "b"), layer
+
+
 def test_mutation_cache_round_trips_and_tolerates_corruption(tmp_path):
     cache = MutationCache(tmp_path)
     assert cache.get("deadbeef") is None
@@ -291,84 +310,32 @@ def test_rebaseline_carries_allowlist_reasons_to_moved_mutants():
 
 
 # ----------------------------------------------------------------------
-# concurrency operators × the races layer
+# lock-drop × the runtime pin of the pool's lock
 # ----------------------------------------------------------------------
-def _lock_sites(rel: str) -> list[dict[str, object]]:
-    """Every lock-drop/lock-swap site in one shipped module, by span."""
-    tree = ast.parse((REPO_ROOT / rel).read_text(encoding="utf-8"))
-    out: list[dict[str, object]] = []
-    for node in ast.walk(tree):
-        for op, slot in proposals_for(node):
-            if op in ("lock-drop", "lock-swap"):
-                out.append({
-                    "id": f"{rel}:{node.lineno}:{op}",
-                    "path": rel,
-                    "op": op,
-                    "slot": slot,
-                    "span": [node.lineno, node.col_offset,
-                             node.end_lineno, node.end_col_offset],
-                })
-    out.sort(key=lambda s: (s["span"], s["op"]))
-    return out
-
-
 class TestConcurrencyOperators:
-    SCOPE = [REPO_ROOT / "src" / "repro" / "exec"]
+    PIN = ("tests/test_exec.py::TestLiveWorkerRegistry::"
+           "test_registry_is_touched_only_under_its_lock")
 
-    def test_lock_guard_mutants_are_killed_by_the_races_layer(self):
-        """Pinned 5-site smoke: deleting any shipped lock guard of the
-        pool must light up the static concurrency pass."""
-        from repro.analysis.races import races_paths
-
-        pinned = _lock_sites("src/repro/exec/pool.py")
-        assert len(pinned) == 5
-        assert races_paths(self.SCOPE) == []
-        for spec in pinned:
-            path = REPO_ROOT / str(spec["path"])
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            mutated = ast.unparse(apply_to_module(tree, spec))
-            found = races_paths(
-                self.SCOPE, overrides={str(path.resolve()): mutated})
-            assert any(v.code in ("RPR014", "RPR015", "RPR016")
-                       for v in found), spec
-
-    def test_lock_swap_mutant_creates_a_lock_order_cycle(self, tmp_path):
-        from repro.analysis.races import races_paths
-
-        source = (
-            "import threading\n"
-            "\n"
-            "class Pair:\n"
-            "    def __init__(self):\n"
-            "        self.lock_a = threading.Lock()\n"
-            "        self.lock_b = threading.Lock()\n"
-            "\n"
-            "    def one(self):\n"
-            "        with self.lock_a, self.lock_b:\n"
-            "            pass\n"
-            "\n"
-            "    def two(self):\n"
-            "        with self.lock_a, self.lock_b:\n"
-            "            pass\n"
-        )
-        proj = tmp_path / "proj"
-        proj.mkdir()
-        path = proj / "pair.py"
-        path.write_text(source, encoding="utf-8")
-        tree = ast.parse(source)
-        swaps = []
-        for node in ast.walk(tree):
-            for op, slot in proposals_for(node):
-                if op == "lock-swap":
-                    swaps.append({
-                        "id": "swap", "path": "pair.py", "op": op,
-                        "slot": slot,
-                        "span": [node.lineno, node.col_offset,
-                                 node.end_lineno, node.end_col_offset],
-                    })
-        assert len(swaps) == 2
-        assert races_paths([proj]) == []
-        mutated = ast.unparse(apply_to_module(ast.parse(source), swaps[0]))
-        found = races_paths([proj],
-                            overrides={str(path.resolve()): mutated})
-        assert any(v.code == "RPR015" for v in found)
+    def test_pool_lock_drop_mutants_fail_the_runtime_pin(self):
+        """Deleting any of the pool's lock guards fails the pin, run
+        through the ``tests`` oracle layer exactly as mutate runs it."""
+        rel = "src/repro/exec/pool.py"
+        tree = ast.parse((REPO_ROOT / rel).read_text(encoding="utf-8"))
+        specs = [
+            {"id": f"{rel}:{node.lineno}", "path": rel,
+             "module": "repro.exec.pool", "op": op, "slot": slot,
+             "span": [node.lineno, node.col_offset,
+                      node.end_lineno, node.end_col_offset]}
+            for node in ast.walk(tree)
+            for op, slot in proposals_for(node) if op == "lock-drop"
+        ]
+        assert len(specs) == 5
+        for spec in specs:
+            out = mutate.run_layer_job({
+                "layer": "tests", "mutant": spec, "tests": [self.PIN],
+                "timeout": 120.0,
+            })
+            assert out["killed_by"] == "tests", (spec["id"], out)
+            # FAILED, not ERROR: the pin ran and failed; it did not
+            # just fail to import.
+            assert "FAILED tests/test_exec.py" in out["detail"], out
