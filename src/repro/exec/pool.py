@@ -65,6 +65,7 @@ from repro.exec.ledger import (
     JobLedger,
     ProgressFn,
 )
+from repro.exec.tracestore import trace_store
 
 __all__ = [
     "ExecProgress",
@@ -264,7 +265,10 @@ def execute_jobs(jobs: Sequence[SimJob],
             cfg.jobs > 1 and len(pending) > 1 and fork_available()
         )
         runner = _run_in_processes if use_processes else _run_in_process
-        runner(pending, cfg, ledger)
+        # Jobs load slot traces from <cache_dir>/traces and store the
+        # ones they generate; forked workers inherit the setting.
+        with trace_store(cfg.cache_dir):
+            runner(pending, cfg, ledger)
         ledger.summarize()
     finally:
         ledger.close()

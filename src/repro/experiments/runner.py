@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.config.machine import MachineConfig
+from repro.exec.tracestore import active_trace_store
 from repro.metrics.fairness import harmonic_weighted_ipc
 from repro.metrics.ipc import SimResult
 from repro.pipeline.smt_core import SMTProcessor
@@ -36,27 +37,34 @@ def default_warmup(max_insns: int) -> int:
 
 
 #: Per-process memo of slot traces keyed by
-#: ``(benchmark, occurrence, root seed, length)``. The generator keeps
-#: its own 64-entry FIFO, but a fairness sweep touches more distinct
-#: traces than that bound holds (up to 4 slots x 12 mixes plus one solo
-#: baseline per benchmark), so relying on it alone silently regenerated
-#: traces on later grid points. This memo pins every slot trace for the
-#: life of the process instead.
+#: ``(benchmark, occurrence, root seed, length)``. It pins every slot
+#: trace a sweep touches for the life of the process (a fairness sweep
+#: needs up to 4 slots x 12 mixes plus one solo baseline per
+#: benchmark). A forked pool worker's additions die with it; the
+#: on-disk store (:mod:`repro.exec.tracestore`) carries traces across
+#: processes.
 _SLOT_TRACE_CACHE: dict[tuple[str, int, int, int], Trace] = {}
 _SLOT_TRACE_CACHE_MAX = 512
 
 
 def thread_traces(benchmarks: Sequence[str], max_insns: int, seed: int,
                   warmup: int) -> list[Trace]:
-    """Traces for each mix slot, memoised within this process.
+    """Traces for each mix slot, shared by every grid point of a sweep.
 
-    The memo is keyed by ``(benchmark, occurrence-in-mix, root seed,
-    length)`` — exactly the inputs the derived trace depends on — so
-    every grid point of a sweep reuses one generated trace per slot
-    rather than regenerating it. The memo is per-process: parallel sweep
-    workers (:mod:`repro.exec.pool`) each build their own, and it is
-    bounded at :data:`_SLOT_TRACE_CACHE_MAX` entries (FIFO eviction).
+    A slot trace depends only on ``(benchmark, occurrence-in-mix, root
+    seed, length)``, so every grid point of a sweep replays the same
+    trace per slot. Each slot is looked up in three places, in order:
+
+    1. this process's memo (bounded at :data:`_SLOT_TRACE_CACHE_MAX`
+       entries, FIFO eviction), which returns the identical object;
+    2. the on-disk trace store, when :func:`~repro.exec.pool
+       .execute_jobs` runs with a ``cache_dir`` (see
+       :mod:`repro.exec.tracestore`), which returns an equal trace
+       generated by an earlier job in any process;
+    3. :func:`generate_trace`, whose result is written to the store
+       when one is active.
     """
+    store = active_trace_store()
     seen: dict[str, int] = {}
     traces = []
     length = warmup + max_insns + TRACE_SLACK
@@ -66,9 +74,13 @@ def thread_traces(benchmarks: Sequence[str], max_insns: int, seed: int,
         key = (name, occurrence, seed, length)
         trace = _SLOT_TRACE_CACHE.get(key)
         if trace is None:
-            trace = generate_trace(
-                name, length, derive_seed(seed, "slot", name, occurrence)
-            )
+            trace_seed = derive_seed(seed, "slot", name, occurrence)
+            if store is not None:
+                trace = store.get(name, length, trace_seed)
+            if trace is None:
+                trace = generate_trace(name, length, trace_seed)
+                if store is not None:
+                    store.put(trace)
             if len(_SLOT_TRACE_CACHE) >= _SLOT_TRACE_CACHE_MAX:
                 _SLOT_TRACE_CACHE.pop(next(iter(_SLOT_TRACE_CACHE)))
             _SLOT_TRACE_CACHE[key] = trace
@@ -118,17 +130,20 @@ _SOLO_CACHE: dict[tuple, float] = {}
 
 
 def solo_ipc(name: str, config: MachineConfig, max_insns: int = 20_000,
-             seed: int = 0) -> float:
+             seed: int = 0, max_cycles: int = 5_000_000,
+             warmup: int | None = None) -> float:
     """Single-thread IPC of ``name`` on ``config`` (memoised).
 
     The paper weights each thread's in-mix IPC by its stand-alone IPC on
     the same machine; these runs are shared across every mix touching
     the benchmark.
     """
-    key = (name, config, max_insns, seed)
+    key = (name, config, max_insns, seed, max_cycles, warmup)
     ipc = _SOLO_CACHE.get(key)
     if ipc is None:
-        ipc = simulate_benchmark(name, config, max_insns, seed).throughput_ipc
+        ipc = simulate_benchmark(
+            name, config, max_insns, seed, max_cycles, warmup
+        ).throughput_ipc
         _SOLO_CACHE[key] = ipc
     return ipc
 
@@ -141,6 +156,8 @@ def clear_solo_cache() -> None:
 def simulate_mix_with_fairness(benchmarks: Sequence[str],
                                config: MachineConfig,
                                max_insns: int = 20_000, seed: int = 0,
+                               max_cycles: int = 5_000_000,
+                               warmup: int | None = None,
                                ) -> tuple[SimResult, float]:
     """Simulate a mix and also compute the fairness metric.
 
@@ -150,12 +167,16 @@ def simulate_mix_with_fairness(benchmarks: Sequence[str],
     the paper's cross-scheduler fairness comparisons (Figures 4/6/8) to
     be meaningful — weighting each scheme by its own throttled solo IPCs
     would reward schemes for slowing everything down uniformly.
+    ``max_cycles`` and ``warmup`` apply to the mix and to every
+    baseline alike.
     """
-    result = simulate_mix(benchmarks, config, max_insns, seed)
+    result = simulate_mix(benchmarks, config, max_insns, seed, max_cycles,
+                          warmup)
     baseline_cfg = (
         config if config.scheduler == "traditional"
         else config.replace(scheduler="traditional")
     )
-    alone = [solo_ipc(b, baseline_cfg, max_insns, seed) for b in benchmarks]
+    alone = [solo_ipc(b, baseline_cfg, max_insns, seed, max_cycles, warmup)
+             for b in benchmarks]
     fairness = harmonic_weighted_ipc(result.per_thread_ipc, alone)
     return result, fairness

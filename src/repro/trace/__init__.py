@@ -17,7 +17,7 @@ the program properties the studied mechanisms are sensitive to:
 See DESIGN.md §2 for the substitution argument.
 """
 
-from repro.trace.generator import Trace, clear_trace_cache, generate_trace
+from repro.trace.generator import Trace, generate_trace
 from repro.trace.profiles import (
     ALL_BENCHMARKS,
     BenchmarkProfile,
@@ -31,7 +31,6 @@ __all__ = [
     "get_profile",
     "Trace",
     "generate_trace",
-    "clear_trace_cache",
     "classify_benchmark",
     "classify_all",
 ]

@@ -19,10 +19,10 @@ plus a seed. The generator models a synthetic *static program*:
   optionally chain through the previous load's destination
   (``pointer_chase``) to model pointer codes.
 
-Traces are independent of the machine configuration, so they are cached
-and replayed across every scheduler/IQ-size combination of an experiment
-— both a large speedup and a guarantee that scheduler comparisons see
-identical instruction streams.
+Traces are independent of the machine configuration, so the runner
+replays one trace per mix slot across every scheduler/IQ-size
+combination of an experiment — both a large speedup and a guarantee
+that scheduler comparisons see identical instruction streams.
 """
 
 from __future__ import annotations
@@ -168,23 +168,12 @@ def generate_trace(profile: BenchmarkProfile | str, n: int,
                    seed: int = 0) -> Trace:
     """Generate ``n`` instructions of the given benchmark.
 
-    Deterministic in ``(profile.name, n, seed)``. Results are memoised;
-    see :func:`clear_trace_cache`.
+    Deterministic in ``(profile.fingerprint(), n, seed)``. Every call
+    generates afresh; :func:`repro.experiments.runner.thread_traces`
+    memoises the slot traces a sweep replays.
     """
     if isinstance(profile, str):
         profile = get_profile(profile)
-    key = (profile.fingerprint(), n, seed)
-    cached = _TRACE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    trace = _generate(profile, n, seed)
-    if len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
-        _TRACE_CACHE.pop(next(iter(_TRACE_CACHE)))
-    _TRACE_CACHE[key] = trace
-    return trace
-
-
-def _generate(profile: BenchmarkProfile, n: int, seed: int) -> Trace:
     if n <= 0:
         raise ValueError(f"trace length must be positive, got {n}")
     rng = make_rng(seed, "trace", profile.name)
@@ -340,7 +329,7 @@ def _generate(profile: BenchmarkProfile, n: int, seed: int) -> Trace:
             # Loop pattern: off-direction once per `site_period` visits.
             visit = site_count[site]
             site_count[site] = visit + 1
-            pattern_dominant = (visit % site_period[site]) != 0
+            pattern_dominant = bool(visit % site_period[site])
             if u_outcome[i] < noise_prob:
                 pattern_dominant = not pattern_dominant
             tk = bool(dominant_taken[site]) == pattern_dominant
@@ -484,16 +473,3 @@ def _generate(profile: BenchmarkProfile, n: int, seed: int) -> Trace:
         taken=taken_col,
         target=target_col,
     )
-
-
-# ---------------------------------------------------------------------------
-# trace cache
-# ---------------------------------------------------------------------------
-
-_TRACE_CACHE: dict[tuple[str, int, int], Trace] = {}
-_TRACE_CACHE_MAX = 64
-
-
-def clear_trace_cache() -> None:
-    """Drop all memoised traces (tests and memory-pressure control)."""
-    _TRACE_CACHE.clear()

@@ -30,6 +30,7 @@ from repro.exec import (
 )
 from repro.exec.__main__ import main as exec_main
 from repro.exec.jobs import hash_payload
+from repro.exec.tracestore import TraceStore
 from repro.experiments.runner import (
     clear_slot_trace_cache,
     default_warmup,
@@ -37,6 +38,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.sweep import run_sweep
 from repro.pipeline.smt_core import clear_warm_state_cache
+from repro.trace.generator import generate_trace
 from repro.workloads.mixes import TWO_THREAD_MIXES
 
 CFG = small_machine()
@@ -258,11 +260,21 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         assert cache.stats().entries == 0
         cache.put(job, payload)
+        TraceStore(tmp_path / "traces").put(generate_trace("gcc", 300, 1))
+        (tmp_path / "mutation").mkdir()
+        (tmp_path / "mutation" / "m.json").write_text("{}", encoding="utf-8")
+        cache.record_run("run-a", hits=0, misses=1, total=1)
         stats = cache.stats()
         assert stats.entries == 1
         assert stats.total_bytes > 0
-        assert cache.clear() == 1
-        assert cache.stats().entries == 0
+        # The entry and the stored trace go; the mutation store and the
+        # run counters stay.
+        assert cache.clear() == 2
+        assert not (tmp_path / "traces").exists()
+        stats = cache.stats()
+        assert stats.entries == 0
+        assert [k for k, _, _ in stats.by_kind] == ["mutation"]
+        assert stats.runs == 1
 
     def test_cli_stats_and_clear(self, tmp_path, executed_job, capsys):
         job, payload = executed_job
@@ -282,6 +294,13 @@ class TestResultCache:
         kinds = {k: (n, b) for k, n, b in stats.by_kind}
         assert set(kinds) == {"sim"}
         assert kinds["sim"] == (1, stats.total_bytes)
+        store = TraceStore(tmp_path / "traces")
+        sizes = [store.put(generate_trace("gcc", 300, s)).stat().st_size
+                 for s in (1, 2)]
+        stats = cache.stats()
+        kinds = {k: (n, b) for k, n, b in stats.by_kind}
+        assert kinds == {"sim": (1, stats.total_bytes),
+                         "trace": (2, sum(sizes))}
 
     def test_run_counters_persisted_and_aggregated(self, tmp_path,
                                                    executed_job):

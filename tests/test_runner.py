@@ -1,8 +1,12 @@
 """Experiment runner tests: determinism, caching, fairness plumbing."""
 
+import dataclasses
+
 import pytest
 
 from repro.config.presets import small_machine
+from repro.exec import SimJob
+from repro.metrics.fairness import harmonic_weighted_ipc
 from repro.experiments.runner import (
     clear_solo_cache,
     default_warmup,
@@ -86,3 +90,25 @@ class TestFairness:
         a = solo_ipc("gzip", CFG, max_insns=1500, seed=0)
         b = solo_ipc("gzip", CFG.replace(iq_size=8), max_insns=1500, seed=0)
         assert a != b
+
+    @pytest.mark.parametrize("fields", [
+        dict(warmup=0),
+        dict(warmup=2000, max_cycles=300),
+    ], ids=["warmup", "max_cycles"])
+    def test_fairness_job_keeps_warmup_and_max_cycles(self, fields):
+        mix = ("gzip", "parser")
+        plain = SimJob(mix, CFG, max_insns=1500, seed=0, **fields)
+        fair = dataclasses.replace(plain, with_fairness=True)
+        payload = fair.run()
+        # The mix runs as the plain job does...
+        assert payload.result == plain.run().result
+        # ...and so does every single-thread baseline.
+        alone = [
+            simulate_benchmark(b, CFG.replace(scheduler="traditional"),
+                               max_insns=1500, seed=0, **fields)
+            .throughput_ipc
+            for b in mix
+        ]
+        assert payload.fairness == harmonic_weighted_ipc(
+            payload.result.per_thread_ipc, alone
+        )
