@@ -6,11 +6,11 @@ or per :class:`ResultCache` instance).
 
 Each entry records:
 
-* ``schema`` — :data:`SCHEMA_VERSION`. Bumped whenever the entry
-  format, the simulator's observable behaviour or the trace
-  generator's output changes; entries with any other value are treated
-  as misses, so stale results self-invalidate instead of silently
-  corrupting figures.
+* ``schema`` — :data:`~repro.exec.schema.SCHEMA_VERSION`. Bumped
+  whenever the entry format, the simulator's observable behaviour or
+  the trace generator's output changes; entries with any other value
+  are treated as misses, so stale results self-invalidate instead of
+  silently corrupting figures.
 * ``repro_version`` — the package version that produced the entry, a
   second self-invalidation guard across releases.
 * ``key`` — the job's content hash (must match the filename and the
@@ -35,9 +35,10 @@ Damage handling distinguishes two cases on read:
   stays visible (``cache stats`` counts quarantined files, ``cache
   verify`` sweeps the whole store) while the executor recomputes.
 
-The slot traces jobs generate are stored beside the entries, under
-``<root>/traces/`` (:mod:`repro.exec.tracestore`), with the same
-``schema`` and ``repro_version`` guards.
+The slot traces forked pool jobs generate are stored beside the
+entries, under ``<root>/traces/``, with the same ``schema`` and
+``repro_version`` guards; :mod:`repro.exec.tracestore` owns that
+directory, and ``stats`` and ``clear`` call its helpers.
 
 Floats survive the round trip exactly: ``json`` serialises Python floats
 with ``repr``, which round-trips IEEE-754 doubles bit-for-bit, so a
@@ -64,18 +65,10 @@ from pathlib import Path
 
 from repro.metrics.ipc import SimResult
 
+from repro.exec import tracestore
 from repro.exec.chaos import ChaosConfig
 from repro.exec.jobs import JobResult, SimJob, hash_payload
-
-#: Bump when the entry format, the simulator's behaviour or the trace
-#: generator's output changes (docs/exec.md, "Invalidation rules"); it
-#: also invalidates the slot traces stored under ``<root>/traces/``.
-#: 2: payload checksum added.
-SCHEMA_VERSION = 2
-
-#: Subdirectory of the cache root holding the slot-trace store
-#: (:mod:`repro.exec.tracestore`).
-TRACE_DIR = "traces"
+from repro.exec.schema import SCHEMA_VERSION, repro_version
 
 #: Default cache root, relative to the current working directory.
 DEFAULT_CACHE_DIR = Path("results") / "cache"
@@ -88,12 +81,6 @@ def default_cache_dir() -> Path:
     """Cache root honouring the ``REPRO_CACHE_DIR`` environment knob."""
     env = os.environ.get("REPRO_CACHE_DIR")
     return Path(env) if env else DEFAULT_CACHE_DIR
-
-
-def _repro_version() -> str:
-    import repro
-
-    return getattr(repro, "__version__", "0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,7 +184,7 @@ class ResultCache:
             return "corrupt", None
         if entry.get("schema") != SCHEMA_VERSION:
             return "stale", None
-        if entry.get("repro_version") != _repro_version():
+        if entry.get("repro_version") != repro_version():
             return "stale", None
         if entry.get("key") != key:
             return "corrupt", None
@@ -231,7 +218,7 @@ class ResultCache:
         body = encode_job_result(payload)
         entry = {
             "schema": SCHEMA_VERSION,
-            "repro_version": _repro_version(),
+            "repro_version": repro_version(),
             "key": key,
             "job": job.fingerprint_payload(),
             "checksum": hash_payload(body),
@@ -295,13 +282,14 @@ class ResultCache:
             # The mutation engine's per-layer outcome store and the
             # slot-trace store live in subdirectories; each counts as
             # its own kind.
-            for kind, sub, pattern in (("mutation", "mutation", "*.json"),
-                                       ("trace", TRACE_DIR, "*.npz")):
-                if (self.root / sub).is_dir():
-                    bucket = by_kind.setdefault(kind, [0, 0])
-                    for path in (self.root / sub).rglob(pattern):
-                        bucket[0] += 1
-                        bucket[1] += path.stat().st_size
+            if (self.root / "mutation").is_dir():
+                bucket = by_kind.setdefault("mutation", [0, 0])
+                for path in (self.root / "mutation").rglob("*.json"):
+                    bucket[0] += 1
+                    bucket[1] += path.stat().st_size
+            traces = tracestore.footprint(self.root)
+            if traces is not None:
+                by_kind["trace"] = list(traces)
             for path in (self.root / "runs").glob("*.json"):
                 try:
                     rec = json.loads(path.read_text(encoding="utf-8"))
@@ -377,12 +365,7 @@ class ResultCache:
                 for path in self.root.glob(pattern):
                     path.unlink(missing_ok=True)
                     removed += 1
-            traces = self.root / TRACE_DIR
-            if traces.is_dir():
-                for path in traces.iterdir():
-                    path.unlink(missing_ok=True)
-                    removed += 1
-                traces.rmdir()
+            removed += tracestore.clear(self.root)
         return removed
 
 

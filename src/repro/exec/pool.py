@@ -265,9 +265,10 @@ def execute_jobs(jobs: Sequence[SimJob],
             cfg.jobs > 1 and len(pending) > 1 and fork_available()
         )
         runner = _run_in_processes if use_processes else _run_in_process
-        # Jobs load slot traces from <cache_dir>/traces and store the
-        # ones they generate; forked workers inherit the setting.
-        with trace_store(cfg.cache_dir):
+        # Forked workers load slot traces from <cache_dir>/traces and
+        # store the ones they generate; they inherit the setting. In
+        # process, the runner's memo already serves every repeat.
+        with trace_store(cfg.cache_dir if use_processes else None):
             runner(pending, cfg, ledger)
         ledger.summarize()
     finally:

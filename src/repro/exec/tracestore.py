@@ -2,10 +2,12 @@
 
 :mod:`repro.exec.pool` forks one process per job, so the runner's
 in-process slot-trace memo dies with each child. While
-:func:`~repro.exec.pool.execute_jobs` runs with a ``cache_dir``,
-:func:`repro.experiments.runner.thread_traces` consults this store
-between its memo and the generator: a miss generates the trace and
-writes it here, and the next job, in any process, loads it instead.
+:func:`~repro.exec.pool.execute_jobs` runs forked workers with a
+``cache_dir``, :func:`repro.experiments.runner.thread_traces` consults
+this store between its memo and the generator: a miss generates the
+trace and writes it here, and the next job, in any process, loads it
+instead. In-process runs leave the store off: the memo already serves
+every repeat there, so each write would be pure cost.
 
 Layout: ``<cache_dir>/traces/<key>.npz``, one ``np.savez_compressed``
 archive per trace, holding every :class:`~repro.trace.generator.Trace`
@@ -15,9 +17,9 @@ JSON:
 * the file name ``key`` is a SHA-256 over exactly the generator's
   inputs: the profile's fingerprint, the length and the derived trace
   seed;
-* ``schema`` and ``repro_version`` are the result cache's
-  :data:`~repro.exec.cache.SCHEMA_VERSION` and package version, so one
-  rule invalidates both stores (docs/exec.md, "Invalidation rules");
+* ``schema`` and ``repro_version`` are the stamp the result cache
+  records too (:mod:`repro.exec.schema`), so one rule invalidates both
+  stores (docs/exec.md, "Invalidation rules");
 * ``key``, ``name`` and ``seed`` must match the request;
 * ``checksum`` is a SHA-256 over every column's dtype and bytes, plus
   the name and the seed.
@@ -26,7 +28,9 @@ The store is disposable. Reads use ``allow_pickle=False``, and any
 error or mismatch is a miss: the caller regenerates the trace and
 overwrites the entry. There is no quarantine. Writes are atomic (a
 same-directory temp file with the pid in its name, then
-``os.replace``).
+``os.replace``). This module alone knows the layout: the result
+cache's ``stats`` and ``clear`` call :func:`footprint` and
+:func:`clear`.
 """
 
 from __future__ import annotations
@@ -41,10 +45,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.exec.cache import SCHEMA_VERSION, TRACE_DIR, _repro_version
 from repro.exec.jobs import hash_payload
+from repro.exec.schema import SCHEMA_VERSION, repro_version
 from repro.trace.generator import Trace
 from repro.trace.profiles import get_profile
+
+#: The store's subdirectory of a cache root, and its entry suffix.
+TRACE_DIR = "traces"
+_SUFFIX = ".npz"
 
 #: Per-instruction columns of a trace, then its warm-address lists; the
 #: checksum covers them in this order.
@@ -101,7 +109,7 @@ class TraceStore:
 
     def path_for(self, name: str, length: int, seed: int) -> Path:
         """Entry path of one trace (exists or not)."""
-        return self.root / f"{trace_key(name, length, seed)}.npz"
+        return self.root / f"{trace_key(name, length, seed)}{_SUFFIX}"
 
     def get(self, name: str, length: int, seed: int) -> Trace | None:
         """The stored trace, equal to ``generate_trace(name, length,
@@ -115,7 +123,7 @@ class TraceStore:
             return None
         expected = {
             "schema": SCHEMA_VERSION,
-            "repro_version": _repro_version(),
+            "repro_version": repro_version(),
             "key": path.stem,
             "name": name,
             "seed": seed,
@@ -140,7 +148,7 @@ class TraceStore:
         path = self.path_for(trace.name, len(trace), trace.seed)
         meta = {
             "schema": SCHEMA_VERSION,
-            "repro_version": _repro_version(),
+            "repro_version": repro_version(),
             "key": path.stem,
             "name": trace.name,
             "seed": trace.seed,
@@ -150,7 +158,7 @@ class TraceStore:
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             # A file object, not a path: np.savez_compressed would
-            # append ".npz" to the temp name.
+            # append its suffix to the temp name.
             with open(tmp, "wb") as fh:
                 np.savez_compressed(
                     fh, meta=np.array(json.dumps(meta, sort_keys=True)),
@@ -160,6 +168,30 @@ class TraceStore:
         finally:
             tmp.unlink(missing_ok=True)
         return path
+
+
+def footprint(cache_dir: str | Path) -> tuple[int, int] | None:
+    """``(entries, bytes)`` of the store under ``cache_dir``, or None
+    when it has no store directory."""
+    root = Path(cache_dir) / TRACE_DIR
+    if not root.is_dir():
+        return None
+    sizes = [path.stat().st_size for path in root.glob(f"*{_SUFFIX}")]
+    return len(sizes), sum(sizes)
+
+
+def clear(cache_dir: str | Path) -> int:
+    """Delete the store under ``cache_dir``, stray temp files included;
+    returns how many files were removed."""
+    root = Path(cache_dir) / TRACE_DIR
+    if not root.is_dir():
+        return 0
+    removed = 0
+    for path in root.iterdir():
+        path.unlink(missing_ok=True)
+        removed += 1
+    root.rmdir()
+    return removed
 
 
 @contextmanager

@@ -58,7 +58,7 @@ def thread_traces(benchmarks: Sequence[str], max_insns: int, seed: int,
     1. this process's memo (bounded at :data:`_SLOT_TRACE_CACHE_MAX`
        entries, FIFO eviction), which returns the identical object;
     2. the on-disk trace store, when :func:`~repro.exec.pool
-       .execute_jobs` runs with a ``cache_dir`` (see
+       .execute_jobs` runs forked workers with a ``cache_dir`` (see
        :mod:`repro.exec.tracestore`), which returns an equal trace
        generated by an earlier job in any process;
     3. :func:`generate_trace`, whose result is written to the store

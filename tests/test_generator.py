@@ -2,13 +2,18 @@
 
 import pytest
 
-from repro.exec.cache import SCHEMA_VERSION
+from repro.exec.schema import SCHEMA_VERSION
 from repro.exec.tracestore import trace_checksum
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import FP_BASE, NO_REG, is_zero_reg
 from repro.pipeline.smt_core import clear_warm_state_cache
 from repro.trace.generator import generate_trace
-from repro.trace.profiles import BenchmarkProfile, get_profile, _int_mix
+from repro.trace.profiles import (
+    ALL_BENCHMARKS,
+    BenchmarkProfile,
+    _int_mix,
+    get_profile,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -56,20 +61,56 @@ class TestDeterminism:
             generate_trace("gzip", 0)
 
 
-#: Checksum of ``generate_trace("gcc", 2000, 7)`` per cache schema.
-#: Cached results and stored traces outlive a change to the generator's
-#: output unless SCHEMA_VERSION moves with it (docs/exec.md,
-#: "Invalidation rules").
+#: Checksums per cache schema of ``generate_trace(name, 500, 7)`` for
+#: every profile, and of ``generate_trace("gcc", 2000, 7)``. Cached
+#: results and stored traces outlive a change to the generator's output
+#: unless SCHEMA_VERSION moves with it (docs/exec.md, "Invalidation
+#: rules"). One short trace per profile covers the paths only some
+#: profiles take, such as the FP producers.
 PINNED_OUTPUT = {
-    2: "9eee4d115c7c65a9bc85e440fc47f0f21c79c6d0e8c95a5e2cd501af5383e68c",
+    2: {
+        "gcc@2000": "9eee4d115c7c65a9bc85e440fc47f0f21c79c6d0e8c95a5e2cd501af5383e68c",
+        "ammp": "1a729703b99ea5e8e8322e092df8f42722863db60f21033fb832b3e2c0392124",
+        "applu": "ad2f195fb3db7aef5857429c092c8e1d604e947f3e4bd41eb8ab6589f9e585af",
+        "apsi": "d70bd1fc42f886b14fb8f9bd3143856409033e816bb37acce1123d8c9b97dbf7",
+        "art": "51980a90b4bcc7a83356e67839f3a9fb3385d6d5a9090f904db2c61404b53de3",
+        "bzip2": "e5626e0ef0442e2c951235583f62ebab054a3bac811371e3831e84cbd38de574",
+        "crafty": "0a915e9f4b4748637305ed9dafe3f35170f6ab34e931fc6366e4813d746a96d6",
+        "eon": "3aa2f43a3ed5334c6c6ca4b139b9a72d19b0c30f5b8f9371af96f14d4b42ceeb",
+        "equake": "debbd5976591a336903e6a41a63666584c5987e2d37deba5dfc6128d0c94cc85",
+        "facerec": "50c2ca9e6a084817046377074aca8541b34177d885cbe9ca3613bd777d69a543",
+        "fma3d": "3d69630a5d2c994479eb81b4fcd22e1e949573f116fee7a384ac2bbcbccbf84c",
+        "galgel": "1cbaea2cf898d74b800c75ede116e3efe7ceaf7b4e7528279ed5614df04d6456",
+        "gap": "b08a1b7adf675acb5778183c81d46e9a20ee3e1fed2d92e07fe4a96bb7767baa",
+        "gcc": "e57c1b83a5fb6c14d6d4cfcd158ca96101ce1e3c8fe0cc1bb926cad9dc19d4e5",
+        "gzip": "b9ba186b4a789c3053a6ace48998db10d00994d48bf7915d4f7d90ef96b11953",
+        "lucas": "a11f861cb24b6f8f8c7ea2c717438f320d948256c567d748157c03618098be11",
+        "mcf": "abaf3c069f9dc7685eed9fcbed7218845354207a3a7595a5921ee85f9a974e31",
+        "mesa": "14839cc23857d340a622c19b14315c18d7ac4a82ce1e2d4831757459573384e9",
+        "mgrid": "9d6fd2694ee0296707dcd183d7a0126e5c0191e42d87dae7f672103b1c577d4c",
+        "parser": "b167637065266999a9847091ea36f315cae4da798795bd69d0a82e68950cf813",
+        "perlbmk": "c3d00f4a68ae37b04d31bc50c82929bf56163531b8afe58d8ec4b583ea00004e",
+        "sixtrack": "fdcfae2d9a24142e594bc445e1a83e038a944e9b8da336f9ee274eeaec93d9fb",
+        "swim": "ac503488955682f3d0ce1548a2d5537e3956c40ddb33d7d4594230d71dacf0cb",
+        "twolf": "fb4711e9966351c08d86863f93763ca26c440bd6d7035ab899ba7561eb517136",
+        "vortex": "e63dbed0041989b6f0c9736668a1133308596754b00256e0fa2d8af58c66da17",
+        "vpr": "976511463ea1fd7d3a22db1e3c9c87949259d75f1b1e635d12507770cbe7b261",
+        "wupwise": "d6617a8a18edbe29c6a9a4a1fa0ea925893b03f3d1d545de3a61ca2ddff399da",
+    },
 }
 
 
 def test_output_is_pinned_to_the_schema_version():
-    digest = trace_checksum(generate_trace("gcc", 2000, 7))
-    assert digest == PINNED_OUTPUT.get(SCHEMA_VERSION), (
-        "the generator's output changed: bump SCHEMA_VERSION in "
-        "repro/exec/cache.py and pin the new checksum here"
+    digests = {name: trace_checksum(generate_trace(name, 500, 7))
+               for name in ALL_BENCHMARKS}
+    digests["gcc@2000"] = trace_checksum(generate_trace("gcc", 2000, 7))
+    pinned = PINNED_OUTPUT.get(SCHEMA_VERSION, {})
+    moved = sorted(k for k, digest in digests.items()
+                   if digest != pinned.get(k))
+    assert not moved, (
+        f"the generator's output changed ({', '.join(moved)}): bump "
+        "SCHEMA_VERSION in repro/exec/schema.py and pin the new "
+        "checksums here"
     )
 
 

@@ -3,9 +3,9 @@
 Covers the round trip (a loaded trace equals the generated one, Python
 types included), damage handling (a bit flip never serves a different
 trace; a stale, misplaced or truncated entry is regenerated and
-overwritten), activation (only inside ``execute_jobs`` with a
-``cache_dir``), and the payoff: a cold cached grid on forked workers
-generates each distinct slot trace once.
+overwritten), activation (only while ``execute_jobs`` runs forked
+workers with a ``cache_dir``), and the payoff: a cold cached grid on
+forked workers generates each distinct slot trace once.
 """
 
 from __future__ import annotations
@@ -208,6 +208,20 @@ def test_no_store_outside_a_cached_run(tmp_path, monkeypatch):
     execute_jobs(jobs, ExecutorConfig(jobs=2))
     thread_traces(["gcc"], 300, 0, 0)
     assert not list(tmp_path.rglob("traces"))
+    assert active_trace_store() is None
+
+
+def test_in_process_cached_run_stores_no_traces(tmp_path,
+                                                 count_generations):
+    # In process, the runner's memo serves every repeat, so a stored
+    # trace would never be read back.
+    jobs = grid_jobs()
+    _, report = execute_jobs(
+        jobs, ExecutorConfig(jobs=1, cache_dir=tmp_path / "cache")
+    )
+    assert report.simulated == len(jobs)
+    assert len(count_generations()) == 6
+    assert not (tmp_path / "cache" / "traces").exists()
     assert active_trace_store() is None
 
 
