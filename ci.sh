@@ -9,8 +9,8 @@
 #   - a pinned 25-mutant mutation smoke;
 #   - a short fully-sanitized end-to-end simulation;
 #   - a 2-worker sweep smoke asserting the cold run stores one slot
-#     trace per mix slot and the result cache serves a warm rerun in
-#     full;
+#     trace per mix slot and one warm-state snapshot per mix, and the
+#     result cache serves a warm rerun in full;
 #   - a chaos smoke asserting a fault-injected sweep (worker
 #     kills/hangs, cache corruption) matches the fault-free golden run;
 #   - a perf gate that fails on a >15% cycles/s regression vs
@@ -86,28 +86,37 @@ kwargs = dict(
     schedulers=("traditional", "2op_ooo"), iq_sizes=(8, 16),
     max_insns=500, seed=0,
 )
+def listing(root):
+    return sorted(p.name for p in root.iterdir())
+
+
 with tempfile.TemporaryDirectory() as cache_dir:
     traces = Path(cache_dir) / "traces"
+    snapshots = Path(cache_dir) / "warm"
     ex = ExecutorConfig(jobs=2, cache_dir=cache_dir)
     cold = run_sweep(**kwargs, executor=ex)
     # One stored trace per slot: 2 two-thread mixes x 2 slots.
-    stored = sorted(p.name for p in traces.iterdir())
+    stored = listing(traces)
     assert len(stored) == 4 and all(n.endswith(".npz") for n in stored), (
         f"expected 4 stored slot traces and no temp files, got {stored}"
     )
-    warm = run_sweep(**kwargs, executor=ex)
-    assert sorted(p.name for p in traces.iterdir()) == stored, (
-        "warm rerun changed the trace store"
+    # One warm snapshot per mix: its schedulers and IQ sizes share it.
+    warmed = listing(snapshots)
+    assert len(warmed) == 2 and all(n.endswith(".npz") for n in warmed), (
+        f"expected 2 warm snapshots and no temp files, got {warmed}"
     )
+    warm = run_sweep(**kwargs, executor=ex)
+    assert listing(traces) == stored, "warm rerun changed the trace store"
+    assert listing(snapshots) == warmed, "warm rerun changed the warm store"
 assert cold.exec_report.simulated == len(cold.results), "cold run not cold"
 assert warm.exec_report.simulated == 0, "warm rerun re-simulated"
 assert warm.exec_report.cached == len(cold.results), "warm rerun missed cache"
 assert warm.results == cold.results, "cache changed results"
 print(
     f"ok: {len(cold.results)}-point grid on 2 workers stored "
-    f"{len(stored)} slot traces; warm rerun served "
-    f"{warm.exec_report.cached}/{warm.exec_report.total} from cache, "
-    f"0 simulations"
+    f"{len(stored)} slot traces and {len(warmed)} warm snapshots; warm "
+    f"rerun served {warm.exec_report.cached}/{warm.exec_report.total} "
+    f"from cache, 0 simulations"
 )
 PY
 

@@ -35,10 +35,11 @@ Damage handling distinguishes two cases on read:
   stays visible (``cache stats`` counts quarantined files, ``cache
   verify`` sweeps the whole store) while the executor recomputes.
 
-The slot traces forked pool jobs generate are stored beside the
-entries, under ``<root>/traces/``, with the same ``schema`` and
-``repro_version`` guards; :mod:`repro.exec.tracestore` owns that
-directory, and ``stats`` and ``clear`` call its helpers.
+The slot traces and warm cache/predictor state forked pool jobs build
+are stored beside the entries, under ``<root>/traces/`` and
+``<root>/warm/``, with the same ``schema`` and ``repro_version``
+guards; :mod:`repro.exec.tracestore` owns those directories, and
+``stats`` and ``clear`` call its helpers.
 
 Floats survive the round trip exactly: ``json`` serialises Python floats
 with ``repr``, which round-trips IEEE-754 doubles bit-for-bit, so a
@@ -280,16 +281,15 @@ class ResultCache:
                 bucket[1] += size
             corrupt = sum(1 for _ in self.root.glob(f"*{CORRUPT_SUFFIX}"))
             # The mutation engine's per-layer outcome store and the
-            # slot-trace store live in subdirectories; each counts as
-            # its own kind.
+            # slot-trace and warm-state stores live in subdirectories;
+            # each counts as its own kind.
             if (self.root / "mutation").is_dir():
                 bucket = by_kind.setdefault("mutation", [0, 0])
                 for path in (self.root / "mutation").rglob("*.json"):
                     bucket[0] += 1
                     bucket[1] += path.stat().st_size
-            traces = tracestore.footprint(self.root)
-            if traces is not None:
-                by_kind["trace"] = list(traces)
+            for kind, size in tracestore.footprint(self.root).items():
+                by_kind[kind] = list(size)
             for path in (self.root / "runs").glob("*.json"):
                 try:
                     rec = json.loads(path.read_text(encoding="utf-8"))
@@ -351,8 +351,9 @@ class ResultCache:
                             quarantined=quarantined)
 
     def clear(self, corrupt: bool = True) -> int:
-        """Delete every entry, the slot-trace store and, by default,
-        every quarantined file; returns how many files were removed.
+        """Delete every entry, the slot-trace and warm-state stores and,
+        by default, every quarantined file; returns how many files were
+        removed.
 
         The mutation engine's ``mutation/`` store and the ``runs/``
         counters are kept.

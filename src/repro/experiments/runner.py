@@ -15,10 +15,15 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.config.machine import MachineConfig
-from repro.exec.tracestore import active_trace_store
+from repro.exec.tracestore import (
+    active_trace_store,
+    active_warm_store,
+    trace_key,
+    warm_key,
+)
 from repro.metrics.fairness import harmonic_weighted_ipc
 from repro.metrics.ipc import SimResult
-from repro.pipeline.smt_core import SMTProcessor
+from repro.pipeline.smt_core import SMTProcessor, warm_state_cached
 from repro.trace.generator import Trace, generate_trace
 from repro.util.rng import derive_seed
 
@@ -47,6 +52,24 @@ _SLOT_TRACE_CACHE: dict[tuple[str, int, int, int], Trace] = {}
 _SLOT_TRACE_CACHE_MAX = 512
 
 
+def _slots(benchmarks: Sequence[str],
+           seed: int) -> list[tuple[str, int, int]]:
+    """``(benchmark, occurrence-in-mix, trace seed)`` of each mix slot."""
+    seen: dict[str, int] = {}
+    slots = []
+    for name in benchmarks:
+        occurrence = seen.get(name, 0)
+        seen[name] = occurrence + 1
+        slots.append(
+            (name, occurrence, derive_seed(seed, "slot", name, occurrence))
+        )
+    return slots
+
+
+def _trace_length(max_insns: int, warmup: int) -> int:
+    return warmup + max_insns + TRACE_SLACK
+
+
 def thread_traces(benchmarks: Sequence[str], max_insns: int, seed: int,
                   warmup: int) -> list[Trace]:
     """Traces for each mix slot, shared by every grid point of a sweep.
@@ -65,16 +88,12 @@ def thread_traces(benchmarks: Sequence[str], max_insns: int, seed: int,
        when one is active.
     """
     store = active_trace_store()
-    seen: dict[str, int] = {}
     traces = []
-    length = warmup + max_insns + TRACE_SLACK
-    for name in benchmarks:
-        occurrence = seen.get(name, 0)
-        seen[name] = occurrence + 1
+    length = _trace_length(max_insns, warmup)
+    for name, occurrence, trace_seed in _slots(benchmarks, seed):
         key = (name, occurrence, seed, length)
         trace = _SLOT_TRACE_CACHE.get(key)
         if trace is None:
-            trace_seed = derive_seed(seed, "slot", name, occurrence)
             if store is not None:
                 trace = store.get(name, length, trace_seed)
             if trace is None:
@@ -86,6 +105,33 @@ def thread_traces(benchmarks: Sequence[str], max_insns: int, seed: int,
             _SLOT_TRACE_CACHE[key] = trace
         traces.append(trace)
     return traces
+
+
+def _build_core(benchmarks: Sequence[str], config: MachineConfig,
+                traces: list[Trace], max_insns: int, seed: int,
+                warmup: int) -> SMTProcessor:
+    """The core of one grid point, warm.
+
+    The core takes its warm caches and predictors from the per-process
+    memo in :mod:`repro.pipeline.smt_core`, or builds them cold. When
+    the on-disk stores are active (see :func:`thread_traces`) and the
+    memo has no entry, the mix's stored snapshot is loaded into the memo
+    first, and a cold build's state is stored for the next job.
+    """
+    store = active_warm_store()
+    if store is None or warm_state_cached(config, traces, warmup):
+        return SMTProcessor(config, traces, warmup=warmup)
+    length = _trace_length(max_insns, warmup)
+    key = warm_key(
+        [trace_key(name, length, trace_seed)
+         for name, _, trace_seed in _slots(benchmarks, seed)],
+        warmup, config,
+    )
+    loaded = store.load(key, config, traces, warmup)
+    core = SMTProcessor(config, traces, warmup=warmup)
+    if not loaded:
+        store.save(key, config, traces, warmup)
+    return core
 
 
 def clear_slot_trace_cache() -> None:
@@ -107,7 +153,7 @@ def simulate_mix(benchmarks: Sequence[str], config: MachineConfig,
     if warmup is None:
         warmup = default_warmup(max_insns)
     traces = thread_traces(benchmarks, max_insns, seed, warmup)
-    core = SMTProcessor(config, traces, warmup=warmup)
+    core = _build_core(benchmarks, config, traces, max_insns, seed, warmup)
     stats = core.run(max_insns, max_cycles=max_cycles)
     return SimResult.from_stats(
         tuple(benchmarks), config.scheduler, config.iq_size, stats

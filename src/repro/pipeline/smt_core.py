@@ -872,12 +872,12 @@ class SMTProcessor:
         On a memo miss this runs :meth:`_install_residency` and
         :meth:`_warm_up` and stores a copy of the result; on a hit it
         copies the stored state into this core's fresh structures and
-        neither method runs. Both paths leave byte-identical state, so
-        ``PipelineStats`` cannot tell them apart
+        neither method runs. The entry may also have been imported from
+        disk (:func:`import_warm_state`). All paths leave byte-identical
+        state, so ``PipelineStats`` cannot tell them apart
         (``tests/test_warmstate.py``).
         """
-        cfg = self.cfg
-        key = (tuple(map(id, traces)), warmup, cfg.mem, cfg.bp)
+        key = _memo_key(self.cfg, traces, warmup)
         with _WARM_STATE_LOCK:
             state = _WARM_STATE.get(key)
         if state is not None:
@@ -886,13 +886,9 @@ class SMTProcessor:
         self._install_residency()
         if warmup:
             self._warm_up(warmup)
-        state = _WarmState.capture(self, traces)
         # Cores may be built on threads; two may race to build one key,
         # and both then store the same state.
-        with _WARM_STATE_LOCK:
-            if len(_WARM_STATE) >= _WARM_STATE_MAX:
-                _WARM_STATE.pop(next(iter(_WARM_STATE)), None)
-            _WARM_STATE[key] = state
+        _remember(key, _WarmState.capture(self, traces))
 
 
 # ----------------------------------------------------------------------
@@ -942,16 +938,144 @@ class _WarmState:
             ts.predictor.btb._sets = list(map(list, btb_sets))
             ts.fetch_idx = warmup
 
+    def export(self) -> dict[str, bytes | list[int]]:
+        """The state as flat columns, for storing on disk.
+
+        Each set-associative structure becomes a ``*_ways`` column (the
+        fill of every set, in order) and its entries laid end to end,
+        MRU first within a set: the three caches in ``cache_*``, every
+        thread's BTB in ``btb_*``. ``gshare`` is the threads' counter
+        tables back to back, ``history`` their history registers.
+        """
+        sets = [ways for level in self.caches for ways in level]
+        btb_sets = [ways for _, _, btb in self.predictors for ways in btb]
+        btb = [entry for ways in btb_sets for entry in ways]
+        return {
+            "cache_ways": list(map(len, sets)),
+            "cache_tags": [tag for ways in sets for tag in ways],
+            "gshare": b"".join(table for table, _, _ in self.predictors),
+            "history": [history for _, history, _ in self.predictors],
+            "btb_ways": list(map(len, btb_sets)),
+            "btb_tags": [tag for tag, _ in btb],
+            "btb_targets": [target for _, target in btb],
+        }
+
+    @classmethod
+    def from_export(cls, cfg: MachineConfig, traces: list[Trace],
+                    flat: dict[str, bytes | list[int]]) -> _WarmState:
+        """Inverse of :meth:`export` for a core of ``cfg`` running
+        ``traces``; raises ValueError unless every column fits: each
+        cache's set count and associativity, the gshare table length
+        and history width, and the BTB's sets and ways, per thread."""
+        if sorted(flat) != sorted(_EXPORT_COLUMNS):
+            raise ValueError(f"columns {sorted(flat)} are not "
+                             f"{sorted(_EXPORT_COLUMNS)}")
+        n = len(traces)
+        bp = cfg.bp
+        levels = (cfg.mem.l1i, cfg.mem.l1d, cfg.mem.l2)
+        caches = _unflatten(
+            flat["cache_tags"], flat["cache_ways"],
+            [(level.num_sets, level.assoc) for level in levels],
+        )
+        if len(flat["btb_tags"]) != len(flat["btb_targets"]):
+            raise ValueError("BTB tag and target columns differ in length")
+        btbs = _unflatten(
+            list(zip(flat["btb_tags"], flat["btb_targets"])),
+            flat["btb_ways"],
+            [(bp.btb_entries // bp.btb_assoc, bp.btb_assoc)] * n,
+        )
+        table, history = flat["gshare"], flat["history"]
+        entries = bp.gshare_entries
+        if len(table) != n * entries or len(history) != n:
+            raise ValueError(f"gshare state is not {n} x {entries} entries")
+        if any(not 0 <= h < 1 << bp.history_bits for h in history):
+            raise ValueError(f"history wider than {bp.history_bits} bits")
+        return cls(
+            tuple(traces), tuple(caches),
+            tuple((bytes(table[t * entries:(t + 1) * entries]), history[t],
+                   btbs[t]) for t in range(n)),
+        )
+
+
+#: The columns of :meth:`_WarmState.export`.
+_EXPORT_COLUMNS = ("cache_ways", "cache_tags", "gshare", "history",
+                   "btb_ways", "btb_tags", "btb_targets")
+
+
+def _unflatten(entries: list, ways: list[int],
+               shapes: list[tuple[int, int]]) -> list[tuple]:
+    """Cut ``entries`` into sets of ``ways[i]`` entries, and the sets
+    into one structure per ``(sets, associativity)`` in ``shapes``;
+    raises ValueError when the fills do not fit those shapes."""
+    if len(ways) != sum(sets for sets, _ in shapes):
+        raise ValueError(f"{len(ways)} set fills for shapes {shapes}")
+    if sum(ways) != len(entries):
+        raise ValueError("set fills do not add up to the entries")
+    structures = []
+    fills = iter(ways)
+    pos = 0
+    for sets, assoc in shapes:
+        cut = []
+        for _ in range(sets):
+            fill = next(fills)
+            if not 0 <= fill <= assoc:
+                raise ValueError(f"a set holds {fill} of {assoc} ways")
+            cut.append(tuple(entries[pos:pos + fill]))
+            pos += fill
+        structures.append(tuple(cut))
+    return structures
+
 
 #: Warm state by ``(trace ids in thread order, warmup, cfg.mem, cfg.bp)``,
 #: everything ``_install_residency`` and ``_warm_up`` read. The scheduler
 #: and IQ size are not in the key, and the runner's slot-trace memo hands
 #: every grid point of a mix the same trace objects, so a sweep warms
-#: each mix once per process. Forked pool workers start from the
-#: parent's (usually empty) memo and warm their own. FIFO eviction.
+#: each mix once per process. A forked pool worker starts from the
+#: parent's (usually empty) memo; when the pool has a ``cache_dir``, the
+#: runner imports the mix's stored snapshot before building the core
+#: and stores the state of a cold build
+#: (:mod:`repro.exec.tracestore`), so each mix is warmed once per cache.
+#: FIFO eviction.
 _WARM_STATE: dict[tuple, _WarmState] = {}
 _WARM_STATE_MAX = 32
 _WARM_STATE_LOCK = threading.Lock()
+
+
+def _memo_key(cfg: MachineConfig, traces: list[Trace], warmup: int) -> tuple:
+    return (tuple(map(id, traces)), warmup, cfg.mem, cfg.bp)
+
+
+def _remember(key: tuple, state: _WarmState) -> None:
+    """The one way into the memo: FIFO-bounded, under its lock."""
+    with _WARM_STATE_LOCK:
+        if len(_WARM_STATE) >= _WARM_STATE_MAX:
+            _WARM_STATE.pop(next(iter(_WARM_STATE)), None)
+        _WARM_STATE[key] = state
+
+
+def warm_state_cached(cfg: MachineConfig, traces: list[Trace],
+                      warmup: int) -> bool:
+    """Whether a core of ``cfg`` on ``traces`` would start from the memo."""
+    with _WARM_STATE_LOCK:
+        return _WARM_STATE.get(_memo_key(cfg, traces, warmup)) is not None
+
+
+def export_warm_state(cfg: MachineConfig, traces: list[Trace],
+                      warmup: int) -> dict[str, bytes | list[int]] | None:
+    """:meth:`_WarmState.export` of the memoised state a core of ``cfg``
+    on ``traces`` starts from, or None when none is memoised."""
+    with _WARM_STATE_LOCK:
+        state = _WARM_STATE.get(_memo_key(cfg, traces, warmup))
+    return None if state is None else state.export()
+
+
+def import_warm_state(cfg: MachineConfig, traces: list[Trace], warmup: int,
+                      flat: dict[str, bytes | list[int]]) -> None:
+    """Memoise an exported state, so the next core of ``cfg`` on
+    ``traces`` starts from it; raises ValueError when ``flat`` does not
+    fit ``cfg`` and ``traces`` (see :meth:`_WarmState.from_export`)."""
+    _remember(_memo_key(cfg, traces, warmup),
+              _WarmState.from_export(cfg, traces, flat))
 
 
 def clear_warm_state_cache() -> None:

@@ -92,7 +92,17 @@ _WARM_PREFIX_CAP = 4 * 1024 * 1024
 #: >= 128 bytes (Table 1 uses 128/256/512-byte lines).
 _WARM_STEP = 128
 
+#: Instructions per block of the assembly loop: the pre-drawn arrays are
+#: converted to Python scalars one block at a time (see generate_trace).
+_BLOCK = 4096
+
 _OP_LIST = list(OpClass)
+_BRANCH = int(OpClass.BRANCH)
+_LOAD = int(OpClass.LOAD)
+_STORE = int(OpClass.STORE)
+_NOP = int(OpClass.NOP)
+#: Whether each op code writes a floating-point register.
+_FP_PRODUCER = tuple(op in FP_PRODUCERS for op in _OP_LIST)
 
 
 @dataclass(slots=True)
@@ -229,18 +239,20 @@ def generate_trace(profile: BenchmarkProfile | str, n: int,
         site_period = site_count = None
         noise_prob = 0.0
 
-    # Pre-drawn randomness (vectorised; the assembly loop below is scalar).
+    # Pre-drawn randomness (vectorised; the assembly loop below is
+    # scalar). Each uniform draw is compared with its one threshold here.
     ops_pool = _draw_ops(profile, n, rng)
-    u_first_src = rng.random(n)
-    u_two_src = rng.random(n)
+    first_src = rng.random(n) < _FIRST_SRC_PROB
+    two_src = rng.random(n) < profile.frac_two_src
     # Long-lived ("far") operands are always ready at dispatch; model
     # them as dependence-free (see BenchmarkProfile.far_src_frac).
     far1 = rng.random(n) < profile.far_src_frac
     far2 = rng.random(n) < profile.far_src_frac
-    u_seq = rng.random(n)
-    u_chase = rng.random(n)
-    u_outcome = rng.random(n)
-    u_fp_load = rng.random(n)
+    seq = rng.random(n) < profile.seq_frac
+    chase = rng.random(n) < profile.pointer_chase
+    noise = rng.random(n) < noise_prob
+    # Draws lie in [0, 1), so a zero fraction never picks an FP register.
+    fp_load = rng.random(n) < profile.fp_load_frac
     # Geometric dependence distances, drawn per potential source. The
     # distance is measured in *class-producer* occurrences; scale the mean
     # so the distance in dynamic instructions matches `dep_mean`.
@@ -270,14 +282,14 @@ def generate_trace(profile: BenchmarkProfile | str, n: int,
     # strand when there is more than one.
     cross2 = rng.random(n) < _CROSS_STRAND_PROB
     cross_pick = rng.integers(1, max(2, strands), n)
-    u_loadsrc = rng.random(n)
+    load_src = rng.random(n) < _LOAD_CONSUME_PROB
     footprint = max(4096, profile.footprint_kb * 1024)
     # Non-stream accesses split between an L1-resident hot set (temporal
     # locality) and uniform references over the full working set.
     hot_bytes = min(footprint, _HOT_BYTES)
-    u_hot = rng.random(n)
-    hot_addr = rng.integers(0, hot_bytes, n)
-    rand_addr = rng.integers(0, footprint, n)
+    hot = rng.random(n) < profile.hot_frac
+    hot_addr = rng.integers(0, hot_bytes, n) & ~7
+    rand_addr = rng.integers(0, footprint, n) & ~7
     stream_pick = rng.integers(0, len(_STREAM_STRIDES), n)
     # Each stream walks circularly over its own region of the footprint;
     # see _STREAM_REGION_BYTES.
@@ -289,6 +301,14 @@ def generate_trace(profile: BenchmarkProfile | str, n: int,
         for _ in _STREAM_STRIDES
     ]
     stream_off = [0] * len(_STREAM_STRIDES)
+    drawn = (first_src, two_src, far1, far2, seq, chase, noise, fp_load,
+             dist1, dist2, strand_of, cross2, cross_pick, load_src, hot,
+             hot_addr, rand_addr, stream_pick)
+    if num_sites:
+        site_period = site_period.tolist()
+        site_count = site_count.tolist()
+        dominant_taken = dominant_taken.tolist()
+        target_slot = target_slot.tolist()
 
     # Rolling producer rings (registers written, most recent last), one
     # per dependence strand and register class. Ring capacities divide the
@@ -319,133 +339,137 @@ def generate_trace(profile: BenchmarkProfile | str, n: int,
         d = dist if dist <= len(ring) else len(ring)
         return ring[-d]
 
-    for i in range(n):
-        pc = pc_slot * 4
-        pc_col[i] = pc
-        is_branch_slot = period and (pc_slot % period == period - 1)
-        if is_branch_slot:
-            site = pc_slot // period
-            op = OpClass.BRANCH
-            # Loop pattern: off-direction once per `site_period` visits.
-            visit = site_count[site]
-            site_count[site] = visit + 1
-            pattern_dominant = bool(visit % site_period[site])
-            if u_outcome[i] < noise_prob:
-                pattern_dominant = not pattern_dominant
-            tk = bool(dominant_taken[site]) == pattern_dominant
-            taken_col[i] = tk
-            tgt_slot = int(target_slot[site])
-            target_col[i] = tgt_slot * 4
-            # Branch tests one integer register of some strand.
-            if u_first_src[i] < _FIRST_SRC_PROB and not far1[i]:
-                src1_col[i] = pick_src(rings_int[strand_of[i]], int(dist1[i]))
-            op_col[i] = int(op)
-            pc_slot = tgt_slot if tk else (pc_slot + 1) % code_slots
-            continue
+    for start in range(0, n, _BLOCK):
+        stop = min(n, start + _BLOCK)
+        # This block's draws as Python scalars, indexed by i - start:
+        # reading NumPy scalars one at a time would dominate the loop,
+        # while converting the whole trace at once would hold every
+        # draw of a long trace as a Python object.
+        (first_src, two_src, far1, far2, seq, chase, noise, fp_load,
+         dist1, dist2, strand_of, cross2, cross_pick, load_src, hot,
+         hot_addr, rand_addr, stream_pick) = [
+            a[start:stop].tolist() for a in drawn
+        ]
+        # A block consumes at most one pooled op per instruction.
+        ops = iter(ops_pool[pool_i:pool_i + stop - start].tolist())
+        for i in range(start, stop):
+            j = i - start
+            pc_col[i] = pc_slot * 4
+            if period and pc_slot % period == period - 1:
+                site = pc_slot // period
+                # Loop pattern: off-direction once per `site_period`
+                # visits.
+                visit = site_count[site]
+                site_count[site] = visit + 1
+                pattern_dominant = bool(visit % site_period[site])
+                if noise[j]:
+                    pattern_dominant = not pattern_dominant
+                tk = dominant_taken[site] == pattern_dominant
+                taken_col[i] = tk
+                tgt_slot = target_slot[site]
+                target_col[i] = tgt_slot * 4
+                # Branch tests one integer register of some strand.
+                if first_src[j] and not far1[j]:
+                    src1_col[i] = pick_src(rings_int[strand_of[j]], dist1[j])
+                op_col[i] = _BRANCH
+                pc_slot = tgt_slot if tk else (pc_slot + 1) % code_slots
+                continue
 
-        op = OpClass(int(ops_pool[pool_i]))
-        pool_i += 1
-        op_col[i] = int(op)
-        pc_slot = (pc_slot + 1) % code_slots
+            op = next(ops)
+            pool_i += 1
+            op_col[i] = op
+            pc_slot = (pc_slot + 1) % code_slots
+            k = strand_of[j]
 
-        if op is OpClass.LOAD:
-            k = int(strand_of[i])
-            fp_dest = u_fp_load[i] < profile.fp_load_frac
-            chase = (
-                u_chase[i] < profile.pointer_chase
-                and last_load_dest[k] != NO_REG
-            )
-            if chase:
-                src1_col[i] = last_load_dest[k]
-                fp_dest = False  # chained pointers live in int registers
-                addr_col[i] = int(rand_addr[i]) & ~7
-            else:
-                if u_first_src[i] < _FIRST_SRC_PROB and not far1[i]:
-                    src1_col[i] = pick_src(rings_int[k], int(dist1[i]))
-                if u_seq[i] < profile.seq_frac:
-                    s = int(stream_pick[i])
+            if op == _LOAD:
+                fp_dest = fp_load[j]
+                if chase[j] and last_load_dest[k] != NO_REG:
+                    src1_col[i] = last_load_dest[k]
+                    fp_dest = False  # chained pointers live in int registers
+                    addr_col[i] = rand_addr[j]
+                else:
+                    if first_src[j] and not far1[j]:
+                        src1_col[i] = pick_src(rings_int[k], dist1[j])
+                    if seq[j]:
+                        s = stream_pick[j]
+                        stream_off[s] = (
+                            stream_off[s] + _STREAM_STRIDES[s]
+                        ) % stream_region
+                        addr_col[i] = stream_base[s] + stream_off[s]
+                    elif hot[j]:
+                        addr_col[i] = hot_addr[j]
+                    else:
+                        addr_col[i] = rand_addr[j]
+                if fp_dest:
+                    dest = FP_BASE + (rr_fp % _FP_POOL)
+                    rr_fp += 1
+                    ring = rings_fp[k]
+                    ring.append(dest)
+                    if len(ring) > cap_fp:
+                        ring.pop(0)
+                else:
+                    dest = rr_int % _INT_POOL
+                    rr_int += 1
+                    ring = rings_int[k]
+                    ring.append(dest)
+                    if len(ring) > cap_int:
+                        ring.pop(0)
+                    last_load_dest[k] = dest
+                dest_col[i] = dest
+                continue
+
+            if op == _STORE:
+                # Data source (class follows the suite) + integer address
+                # base.
+                if not far1[j]:
+                    ring = rings_fp[k] if fp_load[j] else rings_int[k]
+                    src1_col[i] = pick_src(ring, dist1[j])
+                if not far2[j]:
+                    k2 = (k + cross_pick[j]) % strands if cross2[j] else k
+                    src2_col[i] = pick_src(rings_int[k2], dist2[j])
+                if seq[j]:
+                    s = stream_pick[j]
                     stream_off[s] = (
                         stream_off[s] + _STREAM_STRIDES[s]
                     ) % stream_region
                     addr_col[i] = stream_base[s] + stream_off[s]
-                elif u_hot[i] < profile.hot_frac:
-                    addr_col[i] = int(hot_addr[i]) & ~7
+                elif hot[j]:
+                    addr_col[i] = hot_addr[j]
                 else:
-                    addr_col[i] = int(rand_addr[i]) & ~7
-            if fp_dest:
-                dest = FP_BASE + (rr_fp % _FP_POOL)
-                rr_fp += 1
-                ring = rings_fp[k]
-                ring.append(dest)
-                if len(ring) > cap_fp:
-                    ring.pop(0)
-            else:
-                dest = rr_int % _INT_POOL
-                rr_int += 1
-                ring = rings_int[k]
-                ring.append(dest)
-                if len(ring) > cap_int:
-                    ring.pop(0)
-                last_load_dest[k] = dest
-            dest_col[i] = dest
-            continue
+                    addr_col[i] = rand_addr[j]
+                continue
 
-        if op is OpClass.STORE:
-            k = int(strand_of[i])
-            # Data source (class follows the suite) + integer address base.
-            if not far1[i]:
-                if (profile.fp_load_frac > 0
-                        and u_fp_load[i] < profile.fp_load_frac):
-                    src1_col[i] = pick_src(rings_fp[k], int(dist1[i]))
+            # Register-computation ops (IALU/IMUL/IDIV/FP*/NOP).
+            is_fp = _FP_PRODUCER[op]
+            ring = rings_fp[k] if is_fp else rings_int[k]
+            if first_src[j]:
+                if not far1[j]:
+                    if (not is_fp and load_src[j]
+                            and last_load_dest[k] != NO_REG):
+                        src1_col[i] = last_load_dest[k]
+                    else:
+                        src1_col[i] = pick_src(ring, dist1[j])
+                if two_src[j] and not far2[j]:
+                    if cross2[j] and strands > 1:
+                        k2 = (k + cross_pick[j]) % strands
+                        ring2 = rings_fp[k2] if is_fp else rings_int[k2]
+                    else:
+                        ring2 = ring
+                    src2_col[i] = pick_src(ring2, dist2[j])
+            if op != _NOP:
+                if is_fp:
+                    dest = FP_BASE + (rr_fp % _FP_POOL)
+                    rr_fp += 1
+                    ring.append(dest)
+                    if len(ring) > cap_fp:
+                        ring.pop(0)
                 else:
-                    src1_col[i] = pick_src(rings_int[k], int(dist1[i]))
-            if not far2[i]:
-                k2 = (k + int(cross_pick[i])) % strands if cross2[i] else k
-                src2_col[i] = pick_src(rings_int[k2], int(dist2[i]))
-            if u_seq[i] < profile.seq_frac:
-                s = int(stream_pick[i])
-                stream_off[s] = (
-                    stream_off[s] + _STREAM_STRIDES[s]
-                ) % stream_region
-                addr_col[i] = stream_base[s] + stream_off[s]
-            elif u_hot[i] < profile.hot_frac:
-                addr_col[i] = int(hot_addr[i]) & ~7
-            else:
-                addr_col[i] = int(rand_addr[i]) & ~7
-            continue
-
-        # Register-computation ops (IALU/IMUL/IDIV/FP*/NOP).
-        k = int(strand_of[i])
-        is_fp = op in FP_PRODUCERS
-        ring = rings_fp[k] if is_fp else rings_int[k]
-        if u_first_src[i] < _FIRST_SRC_PROB:
-            if not far1[i]:
-                if (not is_fp and u_loadsrc[i] < _LOAD_CONSUME_PROB
-                        and last_load_dest[k] != NO_REG):
-                    src1_col[i] = last_load_dest[k]
-                else:
-                    src1_col[i] = pick_src(ring, int(dist1[i]))
-            if u_two_src[i] < profile.frac_two_src and not far2[i]:
-                if cross2[i] and strands > 1:
-                    k2 = (k + int(cross_pick[i])) % strands
-                    ring2 = rings_fp[k2] if is_fp else rings_int[k2]
-                else:
-                    ring2 = ring
-                src2_col[i] = pick_src(ring2, int(dist2[i]))
-        if op is not OpClass.NOP:
-            if is_fp:
-                dest = FP_BASE + (rr_fp % _FP_POOL)
-                rr_fp += 1
-                ring.append(dest)
-                if len(ring) > cap_fp:
-                    ring.pop(0)
-            else:
-                dest = rr_int % _INT_POOL
-                rr_int += 1
-                ring.append(dest)
-                if len(ring) > cap_int:
-                    ring.pop(0)
-            dest_col[i] = dest
+                    dest = rr_int % _INT_POOL
+                    rr_int += 1
+                    ring.append(dest)
+                    if len(ring) > cap_int:
+                        ring.pop(0)
+                dest_col[i] = dest
 
     # Steady-state residency prefix (see _WARM_PREFIX_CAP): the whole
     # footprint for cache-resident programs, a capacity-sized slice for

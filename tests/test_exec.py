@@ -30,7 +30,7 @@ from repro.exec import (
 )
 from repro.exec.__main__ import main as exec_main
 from repro.exec.jobs import hash_payload
-from repro.exec.tracestore import TraceStore
+from repro.exec.tracestore import TraceStore, WarmStore
 from repro.experiments.runner import (
     clear_slot_trace_cache,
     default_warmup,
@@ -40,6 +40,13 @@ from repro.experiments.sweep import run_sweep
 from repro.pipeline.smt_core import clear_warm_state_cache
 from repro.trace.generator import generate_trace
 from repro.workloads.mixes import TWO_THREAD_MIXES
+
+
+def put_warm(root, key):
+    """Store a small warm snapshot under ``root/warm``; returns its path."""
+    return WarmStore(root / "warm").put(
+        key, 1, {"gshare": bytes([2] * 8), "history": [0]}
+    )
 
 CFG = small_machine()
 INSNS = 400
@@ -261,16 +268,22 @@ class TestResultCache:
         assert cache.stats().entries == 0
         cache.put(job, payload)
         TraceStore(tmp_path / "traces").put(generate_trace("gcc", 300, 1))
+        put_warm(tmp_path, "a")
+        # A writer killed between its temp file and the rename.
+        (tmp_path / "warm" / ".a.npz.123.tmp").write_bytes(b"torn")
         (tmp_path / "mutation").mkdir()
         (tmp_path / "mutation" / "m.json").write_text("{}", encoding="utf-8")
         cache.record_run("run-a", hits=0, misses=1, total=1)
         stats = cache.stats()
         assert stats.entries == 1
         assert stats.total_bytes > 0
-        # The entry and the stored trace go; the mutation store and the
-        # run counters stay.
-        assert cache.clear() == 2
+        assert [k for k, _, _ in stats.by_kind] == ["mutation", "sim",
+                                                    "trace", "warm"]
+        # The entry, the stored trace and the warm snapshot go, with the
+        # stray temp file; the mutation store and the run counters stay.
+        assert cache.clear() == 4
         assert not (tmp_path / "traces").exists()
+        assert not (tmp_path / "warm").exists()
         stats = cache.stats()
         assert stats.entries == 0
         assert [k for k, _, _ in stats.by_kind] == ["mutation"]
@@ -279,11 +292,13 @@ class TestResultCache:
     def test_cli_stats_and_clear(self, tmp_path, executed_job, capsys):
         job, payload = executed_job
         ResultCache(tmp_path).put(job, payload)
+        size = put_warm(tmp_path, "a").stat().st_size
         assert exec_main(["cache", "stats", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "entries: 1" in out
+        assert f"kind warm: 1 entry, {size} bytes" in out
         assert exec_main(["cache", "clear", "--dir", str(tmp_path)]) == 0
-        assert "removed 1 entry" in capsys.readouterr().out
+        assert "removed 2 entries" in capsys.readouterr().out
         assert ResultCache(tmp_path).stats().entries == 0
 
     def test_stats_by_kind_breakdown(self, tmp_path, executed_job):
@@ -301,6 +316,13 @@ class TestResultCache:
         kinds = {k: (n, b) for k, n, b in stats.by_kind}
         assert kinds == {"sim": (1, stats.total_bytes),
                          "trace": (2, sum(sizes))}
+        warm = [put_warm(tmp_path, key).stat().st_size for key in "abc"]
+        (tmp_path / "warm" / ".c.npz.123.tmp").write_bytes(b"torn")
+        stats = cache.stats()
+        kinds = {k: (n, b) for k, n, b in stats.by_kind}
+        assert kinds == {"sim": (1, stats.total_bytes),
+                         "trace": (2, sum(sizes)),
+                         "warm": (3, sum(warm))}
 
     def test_run_counters_persisted_and_aggregated(self, tmp_path,
                                                    executed_job):

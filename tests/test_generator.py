@@ -61,12 +61,14 @@ class TestDeterminism:
             generate_trace("gzip", 0)
 
 
-#: Checksums per cache schema of ``generate_trace(name, 500, 7)`` for
-#: every profile, and of ``generate_trace("gcc", 2000, 7)``. Cached
-#: results and stored traces outlive a change to the generator's output
-#: unless SCHEMA_VERSION moves with it (docs/exec.md, "Invalidation
-#: rules"). One short trace per profile covers the paths only some
-#: profiles take, such as the FP producers.
+#: Checksums per cache schema of ``generate_trace(name, 500, 7)`` and
+#: ``generate_trace(name, 10_000, 7)`` for every profile, and of
+#: ``generate_trace("gcc", 2000, 7)``. Cached results and stored traces
+#: outlive a change to the generator's output unless SCHEMA_VERSION
+#: moves with it (docs/exec.md, "Invalidation rules"). One short trace
+#: per profile covers the paths only some profiles take, such as the FP
+#: producers; the 10,000-instruction traces cross the generator's
+#: conversion-block boundaries.
 PINNED_OUTPUT = {
     2: {
         "gcc@2000": "9eee4d115c7c65a9bc85e440fc47f0f21c79c6d0e8c95a5e2cd501af5383e68c",
@@ -96,6 +98,32 @@ PINNED_OUTPUT = {
         "vortex": "e63dbed0041989b6f0c9736668a1133308596754b00256e0fa2d8af58c66da17",
         "vpr": "976511463ea1fd7d3a22db1e3c9c87949259d75f1b1e635d12507770cbe7b261",
         "wupwise": "d6617a8a18edbe29c6a9a4a1fa0ea925893b03f3d1d545de3a61ca2ddff399da",
+        "ammp@10000": "a566a510425a640b8be2c10e9bd84feb447346e45cff6986d561219dc5aa7c6e",
+        "applu@10000": "d81a9391d9ec79a6ebffe42f27c4eda7a8217341beb43c47b9890f556a81fa2f",
+        "apsi@10000": "615ed35a46e90c2bf0f76288d539e39fdfaa87ea74b9fc1769498b33ec0168e4",
+        "art@10000": "78f3606d021d6e1c7eb8652097787d6183d69adbb47251f7625c72a3061a05ba",
+        "bzip2@10000": "75706b41cdbbc73c0acab1c75ec2a5ed94419bc5e2de6984a91e34c61b2af59e",
+        "crafty@10000": "27619fbb7dcfa0dda3f009179b25c5e54d8f9e5fc537496c1b7a15c48c890d06",
+        "eon@10000": "956ce93deef2d60ff7a84eeee2825e146d92030e1aeeaa24c73969bcf9cf5517",
+        "equake@10000": "80265ae00738228c6d7f1d78c40a21088b7fe9b360175d5fd92d6dc5e51f241c",
+        "facerec@10000": "52863bbaabef2cebb0470965140a1de7166e012e67f61c76a0f7e7992244a6e7",
+        "fma3d@10000": "da30c6be80c620501bc80bacf832aa42201ce9751be59d6ff2798c9adc43454c",
+        "galgel@10000": "8a2f2c7a981b4e4eb626dc2900d44becdcebc8c95bdbd3c4ae8837540dd2bbcf",
+        "gap@10000": "fc1ea25ae20b42be3c103e66ffdb93f5f510761cf28b723440505676fb151a05",
+        "gcc@10000": "4813658953b69c5a2329e51f63c6abf920a80940450606eed1c634d01a0d66a9",
+        "gzip@10000": "ea275372efadf3168b98d3614d67648a92b6402c8b0b9a04f3ff7755aeb2b658",
+        "lucas@10000": "bb38305130d531e20e5ab70508619fdfe176c12d78b9eae3c7875519e63e648a",
+        "mcf@10000": "a0fa730fecbfcdfe6fb06a12fdd7f12f9026e9421c790e860fa0c89318e08ddb",
+        "mesa@10000": "59b94935d4b2d271abac673063ef32b14ce4a1620ab4728e083946bdadfcb507",
+        "mgrid@10000": "1c591be4047f8f89252f5d78daa73aae9b0795f371e65f596e680e630d7073c0",
+        "parser@10000": "ef7ef7a1714e2a1d3c20b092cc972ab33c97cd0810dc49e11de784aad3744e9b",
+        "perlbmk@10000": "e9baefe4f916c98e5ae8736fbe696754025c50e29eeed88d31ebcb1430bf96f7",
+        "sixtrack@10000": "eb064e7d678e9766378778b3f92084350a83eb9fc1ab464dfb0ba7762f3764b6",
+        "swim@10000": "1c7298090b8b925eb9395f8637985dce40ab105f362cdec11c6f465d80ec4486",
+        "twolf@10000": "d01ebe2025092927f4f13985478ffabd3d721b370ee81fbd1ec3466c574fe627",
+        "vortex@10000": "1f308ff5f9ee44f13c29ee7dcb29f7b85bfcbbfae3bf2b38ffe7f6b00d9a2856",
+        "vpr@10000": "9e8632401e852132c170647267d4f68dad495909825eb5a11380759e9327def6",
+        "wupwise@10000": "a07d6cb23ee9c1e4883d59bb5b2bec6533484bdd4e1ad2dfb219ec03f2699814",
     },
 }
 
@@ -104,6 +132,10 @@ def test_output_is_pinned_to_the_schema_version():
     digests = {name: trace_checksum(generate_trace(name, 500, 7))
                for name in ALL_BENCHMARKS}
     digests["gcc@2000"] = trace_checksum(generate_trace("gcc", 2000, 7))
+    for name in ALL_BENCHMARKS:
+        digests[f"{name}@10000"] = trace_checksum(
+            generate_trace(name, 10_000, 7)
+        )
     pinned = PINNED_OUTPUT.get(SCHEMA_VERSION, {})
     moved = sorted(k for k, digest in digests.items()
                    if digest != pinned.get(k))

@@ -247,4 +247,4 @@ def test_cold_pool_generates_each_slot_trace_once(tmp_path,
     assert len(stored) == 6
     assert all(p.suffix == ".npz" for p in stored)
     kinds = {k: n for k, n, _ in ResultCache(cache_dir).stats().by_kind}
-    assert kinds == {"sim": len(jobs), "trace": 6}
+    assert kinds == {"sim": len(jobs), "trace": 6, "warm": 3}
