@@ -9,8 +9,9 @@
 #   - a pinned 25-mutant mutation smoke;
 #   - a short fully-sanitized end-to-end simulation;
 #   - a 2-worker sweep smoke asserting the cold run stores one slot
-#     trace per mix slot and one warm-state snapshot per mix, and the
-#     result cache serves a warm rerun in full;
+#     trace per mix slot and one warm-state snapshot per mix, all as
+#     uncompressed archives, and the result cache serves a warm rerun
+#     in full;
 #   - a chaos smoke asserting a fault-injected sweep (worker
 #     kills/hangs, cache corruption) matches the fault-free golden run;
 #   - a perf gate that fails on a >15% cycles/s regression vs
@@ -74,6 +75,7 @@ PY
 echo "== parallel sweep smoke (2 workers, then warm cache) =="
 python - <<'PY'
 import tempfile
+import zipfile
 from pathlib import Path
 
 from repro.config.presets import small_machine
@@ -88,6 +90,17 @@ kwargs = dict(
 )
 def listing(root):
     return sorted(p.name for p in root.iterdir())
+
+
+def compressed(root):
+    """The archives under root with a member not stored uncompressed."""
+    found = []
+    for path in sorted(root.iterdir()):
+        with zipfile.ZipFile(path) as zf:
+            if any(i.compress_type != zipfile.ZIP_STORED
+                   for i in zf.infolist()):
+                found.append(path.name)
+    return found
 
 
 with tempfile.TemporaryDirectory() as cache_dir:
@@ -105,6 +118,10 @@ with tempfile.TemporaryDirectory() as cache_dir:
     assert len(warmed) == 2 and all(n.endswith(".npz") for n in warmed), (
         f"expected 2 warm snapshots and no temp files, got {warmed}"
     )
+    # Both stores write plain np.savez archives: no zlib on the pool's
+    # hot path.
+    packed = compressed(traces) + compressed(snapshots)
+    assert not packed, f"compressed store entries: {packed}"
     warm = run_sweep(**kwargs, executor=ex)
     assert listing(traces) == stored, "warm rerun changed the trace store"
     assert listing(snapshots) == warmed, "warm rerun changed the warm store"
@@ -114,9 +131,9 @@ assert warm.exec_report.cached == len(cold.results), "warm rerun missed cache"
 assert warm.results == cold.results, "cache changed results"
 print(
     f"ok: {len(cold.results)}-point grid on 2 workers stored "
-    f"{len(stored)} slot traces and {len(warmed)} warm snapshots; warm "
-    f"rerun served {warm.exec_report.cached}/{warm.exec_report.total} "
-    f"from cache, 0 simulations"
+    f"{len(stored)} slot traces and {len(warmed)} warm snapshots "
+    f"uncompressed; warm rerun served {warm.exec_report.cached}/"
+    f"{warm.exec_report.total} from cache, 0 simulations"
 )
 PY
 

@@ -18,15 +18,18 @@ here:
 In-process runs leave both stores off: the memos already serve every
 repeat there, so each write would be pure cost.
 
-Layout, one archive per entry:
+Layout, one uncompressed ``np.savez`` archive per entry: zlib made a
+trace write cost more than generating the trace, and slowed every
+load. ``np.load`` opens zlib-compressed archives too, so an entry an
+earlier version wrote compressed is still served.
 
-* ``<cache_dir>/traces/<key>.npz`` (``np.savez_compressed``) holds every
+* ``<cache_dir>/traces/<key>.npz`` holds every
   :class:`~repro.trace.generator.Trace` list as an int64 column
   (``taken`` as bool). The ``key`` is a SHA-256 over exactly the
   generator's inputs: the profile's fingerprint, the length and the
   derived trace seed (:func:`trace_key`). ``name`` and ``seed`` are
   recorded and must match the request.
-* ``<cache_dir>/warm/<key>.npz`` (``np.savez``) holds the columns of
+* ``<cache_dir>/warm/<key>.npz`` holds the columns of
   ``_WarmState.export`` in :mod:`repro.pipeline.smt_core`, as int64,
   or uint8 for the gshare tables. The ``key`` is a SHA-256 over the
   slots' trace keys in thread order, the warmup length and the memory
@@ -135,17 +138,16 @@ def _read(path: Path, expected: dict[str, object],
 
 
 def _write(path: Path, meta: dict[str, object],
-           arrays: dict[str, np.ndarray], compress: bool) -> Path:
+           arrays: dict[str, np.ndarray]) -> Path:
     """Atomically write one entry, replacing any at ``path``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    save = np.savez_compressed if compress else np.savez
     try:
         # A file object, not a path: np.savez would append its suffix
         # to the temp name.
         with open(tmp, "wb") as fh:
-            save(fh, meta=np.array(json.dumps(meta, sort_keys=True)),
-                 **arrays)
+            np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)),
+                     **arrays)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -207,7 +209,7 @@ class TraceStore:
         path = self.path_for(trace.name, len(trace), trace.seed)
         meta = _stamp(path.stem, name=trace.name, seed=trace.seed,
                       checksum=_checksum(columns, trace.name, trace.seed))
-        return _write(path, meta, columns, compress=True)
+        return _write(path, meta, columns)
 
 
 def _warm_arrays(flat: dict[str, bytes | list[int]]) -> dict[str, np.ndarray]:
@@ -277,7 +279,7 @@ class WarmStore:
         arrays = _warm_arrays(flat)
         meta = _stamp(key, threads=threads,
                       checksum=_warm_digest(arrays))
-        return _write(self.path_for(key), meta, arrays, compress=False)
+        return _write(self.path_for(key), meta, arrays)
 
     def load(self, key: str, cfg: MachineConfig, traces: list[Trace],
              warmup: int) -> bool:

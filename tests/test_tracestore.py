@@ -1,17 +1,21 @@
 """Tests of the on-disk slot-trace store (``repro.exec.tracestore``).
 
 Covers the round trip (a loaded trace equals the generated one, Python
-types included), damage handling (a bit flip never serves a different
-trace; a stale, misplaced or truncated entry is regenerated and
-overwritten), activation (only while ``execute_jobs`` runs forked
-workers with a ``cache_dir``), and the payoff: a cold cached grid on
-forked workers generates each distinct slot trace once.
+types included), the format (both stores write uncompressed archives,
+and an entry in the older zlib format is still served), damage handling
+(a bit flip never serves a different trace; a stale, misplaced or
+truncated entry is regenerated and overwritten), activation (only while
+``execute_jobs`` runs forked workers with a ``cache_dir``), and the
+payoff: a cold cached grid on forked workers generates each distinct
+slot trace once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -30,11 +34,16 @@ from repro.exec import (
 from repro.exec.cache import encode_job_result
 from repro.exec.tracestore import (
     TraceStore,
+    WarmStore,
     active_trace_store,
     trace_store,
 )
 from repro.experiments.runner import clear_slot_trace_cache, thread_traces
-from repro.pipeline.smt_core import clear_warm_state_cache
+from repro.pipeline.smt_core import (
+    SMTProcessor,
+    clear_warm_state_cache,
+    export_warm_state,
+)
 from repro.trace.generator import Trace, generate_trace
 from repro.trace.profiles import ALL_BENCHMARKS
 from repro.util.encoding import stable_dumps
@@ -122,8 +131,10 @@ def test_bit_flip_never_serves_a_different_trace(stored, position):
 
 
 def _rewrite(path, meta_changes=None, column=None) -> None:
-    """Re-save an entry as a valid archive with its meta updated by
-    ``meta_changes``, or with the first value of ``column`` changed."""
+    """Re-save an entry as a valid archive in the older
+    ``np.savez_compressed`` format, with its meta updated by
+    ``meta_changes`` or the first value of ``column`` changed; with
+    neither, only the format changes."""
     with np.load(path, allow_pickle=False) as npz:
         arrays = {k: npz[k] for k in npz.files}
     meta = json.loads(str(arrays.pop("meta")))
@@ -132,6 +143,41 @@ def _rewrite(path, meta_changes=None, column=None) -> None:
         arrays[column][0] += 1
     with open(path, "wb") as fh:
         np.savez_compressed(fh, meta=np.array(json.dumps(meta)), **arrays)
+
+
+def compress_types(archive) -> set[int]:
+    """The ``zipfile`` compression methods of an archive's members."""
+    with zipfile.ZipFile(archive) as zf:
+        return {info.compress_type for info in zf.infolist()}
+
+
+def test_both_stores_write_uncompressed_archives(stored, tmp_path):
+    _, _, blob = stored
+    assert compress_types(io.BytesIO(blob)) == {zipfile.ZIP_STORED}
+    cfg = small_machine()
+    traces = thread_traces(["gzip", "mcf"], 400, 0, 300)
+    SMTProcessor(cfg, traces, warmup=300)
+    path = WarmStore(tmp_path).put("k", len(traces),
+                                   export_warm_state(cfg, traces, 300))
+    assert compress_types(path) == {zipfile.ZIP_STORED}
+
+
+def test_compressed_entry_is_still_served(tmp_path, count_generations):
+    # Entries written in the older np.savez_compressed format stay
+    # valid: np.load opens both kinds of archive.
+    args = (["gcc"], 500, 3, 0)
+    with trace_store(tmp_path):
+        [trace] = thread_traces(*args)
+    [path] = (tmp_path / "traces").glob("*.npz")
+    _rewrite(path)  # the same entry, re-saved with np.savez_compressed
+    assert compress_types(path) == {zipfile.ZIP_DEFLATED}
+    store = TraceStore(tmp_path / "traces")
+    assert_same_trace(store.get(trace.name, len(trace), trace.seed), trace)
+    clear_slot_trace_cache()
+    with trace_store(tmp_path):
+        [loaded] = thread_traces(*args)
+    assert_same_trace(loaded, trace)
+    assert len(count_generations()) == 1  # loaded, not regenerated
 
 
 def _misplace(path) -> None:
