@@ -35,8 +35,8 @@ check-fast:
 	python -m repro.analysis flow src/repro --changed-only
 
 # Full mutation run over the pipeline hot/contract closure: every
-# operator at every site, pushed through the static → sanitizer →
-# stats → tests oracle cascade (docs/analysis.md). Slow (minutes);
+# operator at every site, pushed through the sanitizer → stats →
+# tests oracle cascade (docs/analysis.md). Slow (minutes);
 # cached outcomes make re-runs cheap. Gate against
 # results/mutation_baseline.json; refresh deliberately with:
 #   python -m repro.analysis mutate src/repro/pipeline --update-baseline

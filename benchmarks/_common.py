@@ -18,11 +18,11 @@ Execution knobs (see ``docs/exec.md`` and ``docs/robustness.md``):
 * ``REPRO_JOBS``       — worker processes per grid (default 1),
 * ``REPRO_CACHE``      — ``0`` disables the content-addressed result
   cache (default on: a warm rerun of ``make figures`` performs zero
-  simulation),
+  simulation, and a rerun of an interrupted one simulates only the
+  grid points it had not finished),
 * ``REPRO_CACHE_DIR``  — cache root (default ``results/cache``),
-* ``REPRO_JOURNAL``    — ``1`` (or a directory) journals every grid to
-  a crash-safe run log; with ``REPRO_RESUME=1`` an interrupted bench
-  run replays completed grid points instead of re-simulating them,
+* ``REPRO_JOURNAL``    — ``1`` (or a directory) journals every grid's
+  job transitions to a log,
 * ``REPRO_CHAOS``      — deterministic fault injection, e.g.
   ``kill=0.3,corrupt=0.5,seed=7`` (results are guaranteed unchanged),
 * ``REPRO_WATCHDOG``   — hung-worker grace in seconds (``0`` disables).
@@ -55,7 +55,7 @@ SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 #: Grid-execution policy every reproduction bench routes through: all
-#: ``REPRO_*`` execution knobs (workers, cache, journal/resume, chaos,
+#: ``REPRO_*`` execution knobs (workers, cache, journal, chaos,
 #: watchdog), with cache and journal roots anchored under ``results/``
 #: next to this directory rather than the current working directory.
 EXECUTOR = ExecutorConfig.from_env(default_cache=True)

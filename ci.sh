@@ -10,8 +10,8 @@
 #   - a short fully-sanitized end-to-end simulation;
 #   - a 2-worker sweep smoke asserting the cold run stores one slot
 #     trace per mix slot and one warm-state snapshot per mix, all as
-#     uncompressed archives, and the result cache serves a warm rerun
-#     in full;
+#     uncompressed archives, the result cache serves a warm rerun in
+#     full, and `cache stats` counts that rerun's hits;
 #   - a chaos smoke asserting a fault-injected sweep (worker
 #     kills/hangs, cache corruption) matches the fault-free golden run;
 #   - a perf gate that fails on a >15% cycles/s regression vs
@@ -46,8 +46,8 @@ python -m repro.analysis flow src/repro
 echo "== mutation smoke (pinned 25-mutant sample, 2 workers) =="
 # Measures the detection power of everything above: a deterministic
 # sample of microarchitecture-aware mutants injected into the pipeline
-# hot closure, each of which must be killed by the static → sanitizer
-# → stats → tests cascade or explicitly allowlisted in
+# hot closure, each of which must be killed by the sanitizer → stats
+# → tests cascade or explicitly allowlisted in
 # results/mutation_baseline.json (docs/analysis.md).
 python -m repro.analysis mutate src/repro/pipeline \
     --sample 25 --seed 2006 --jobs 2 --require-all-killed
@@ -79,7 +79,7 @@ import zipfile
 from pathlib import Path
 
 from repro.config.presets import small_machine
-from repro.exec import ExecutorConfig
+from repro.exec import ExecutorConfig, ResultCache
 from repro.experiments.sweep import run_sweep
 from repro.workloads.mixes import TWO_THREAD_MIXES
 
@@ -125,6 +125,14 @@ with tempfile.TemporaryDirectory() as cache_dir:
     warm = run_sweep(**kwargs, executor=ex)
     assert listing(traces) == stored, "warm rerun changed the trace store"
     assert listing(snapshots) == warmed, "warm rerun changed the warm store"
+    # Every cached run records its counters, journal or not. Both runs
+    # share one content-derived run id, so the warm run's counters
+    # replace the cold run's.
+    stats = ResultCache(cache_dir).stats()
+    counters = (stats.runs, stats.hits, stats.misses)
+    assert counters == (1, len(cold.results), 0), (
+        f"cache stats (runs, hits, misses) = {counters}"
+    )
 assert cold.exec_report.simulated == len(cold.results), "cold run not cold"
 assert warm.exec_report.simulated == 0, "warm rerun re-simulated"
 assert warm.exec_report.cached == len(cold.results), "warm rerun missed cache"
@@ -133,7 +141,8 @@ print(
     f"ok: {len(cold.results)}-point grid on 2 workers stored "
     f"{len(stored)} slot traces and {len(warmed)} warm snapshots "
     f"uncompressed; warm rerun served {warm.exec_report.cached}/"
-    f"{warm.exec_report.total} from cache, 0 simulations"
+    f"{warm.exec_report.total} from cache, 0 simulations; cache stats "
+    f"counted {stats.hits} hits over {stats.runs} run"
 )
 PY
 

@@ -979,14 +979,8 @@ def _check_ship_safety(project: Project) -> list[Violation]:
 # ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
-def build_project(paths: list[Path],
-                  overrides: dict[str, str] | None = None) -> Project:
-    """Parse every module under the given roots into one Project.
-
-    ``overrides`` maps resolved file paths to replacement source text;
-    the mutation engine uses it to analyse an in-memory mutant of one
-    module against the rest of the tree as it exists on disk.
-    """
+def build_project(paths: list[Path]) -> Project:
+    """Parse every module under the given roots into one Project."""
     project = Project()
     for root in paths:
         root = Path(root)
@@ -1000,12 +994,8 @@ def build_project(paths: list[Path],
                 if parts[-1] == "__init__":
                     parts = parts[:-1]
                 dotted = ".".join(parts)
-            source = None
-            if overrides is not None:
-                source = overrides.get(str(path.resolve()))
-            if source is None:
-                source = path.read_text(encoding="utf-8")
-            project.add_source(source, str(path), rel, dotted)
+            project.add_source(path.read_text(encoding="utf-8"),
+                               str(path), rel, dotted)
     for fn in list(project.funcs.values()):
         _FuncScanner(project, fn).run()
     return project
@@ -1026,11 +1016,10 @@ def _apply_noqa(project: Project,
 
 def flow_paths(paths: list[Path],
                baseline: dict[str, object] | None = None,
-               overrides: dict[str, str] | None = None,
                ) -> list[Violation]:
     """Run RPR009-RPR012 over the given roots; returns findings that
     are neither noqa-suppressed nor recorded in ``baseline``."""
-    project = build_project(paths, overrides=overrides)
+    project = build_project(paths)
     violations = list(project.parse_errors)
     violations += _apply_noqa(project, (
         _check_hot_closure(project)

@@ -1,12 +1,14 @@
 """Mutation analysis: measure the detection power of the oracles.
 
-The repo has three correctness oracle layers — the RPR static rules,
-the runtime sanitizer with its stage contracts, and the tier-1 test
-suite — but nothing that measures what semantic faults they actually
-catch. This engine injects microarchitecture-aware faults (see
-:mod:`repro.analysis.mutops` for the operator table) into the
-load-bearing core of the simulator and reports which oracle layer, if
-any, notices.
+The repo's runtime oracles — the sanitizer with its stage contracts,
+the golden stats digests and the tier-1 test suite — need something
+that measures what semantic faults they actually catch. This engine
+injects microarchitecture-aware faults (see :mod:`repro.analysis.mutops`
+for the operator table) into the load-bearing core of the simulator
+and reports which oracle layer, if any, notices. The static RPR rules
+are no layer: every mutant compiles, and none of the operators'
+rewrites (comparisons, counter increments, integer literals,
+``min``/``max``, lock guards) is anything a rule flags.
 
 Pipeline:
 
@@ -27,9 +29,6 @@ Pipeline:
    mutants, so every kill is attributed to exactly one (the first)
    layer::
 
-       static    lint/flow finding set changes (differential over
-                 comment-normalised source) or the mutant fails to
-                 compile
        sanitizer a sanitized short simulation raises
                  SanitizerViolation (invariants + stage contracts)
        stats     PipelineStats digests of short simulations diverge
@@ -63,6 +62,7 @@ import select
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import monotonic as _monotonic  # repro: noqa[RPR001]
 
@@ -86,7 +86,7 @@ from repro.util.encoding import stable_dumps
 
 #: Oracle layers, in cascade order. ``timeout`` is not a wave of its
 #: own: any layer's job that wedges attributes its kill here.
-LAYERS: tuple[str, ...] = ("static", "sanitizer", "stats", "tests")
+LAYERS: tuple[str, ...] = ("sanitizer", "stats", "tests")
 
 #: Per-mutant sandbox deadline (seconds) unless ``--timeout`` says
 #: otherwise. The pool-level timeout backstops it at 2x + slack, so a
@@ -123,7 +123,7 @@ PINNED_TESTS: tuple[str, ...] = (
 )
 
 #: Relative job costs for longest-job-first ordering.
-_LAYER_COST = {"static": 2, "sanitizer": 3, "stats": 3, "tests": 10}
+_LAYER_COST = {"sanitizer": 3, "stats": 3, "tests": 10}
 
 
 def _repo_root() -> Path:
@@ -179,21 +179,6 @@ class _MutantFinder:
         # source so tracebacks and coverage stay navigable.
         spec.has_location = True
         return spec
-
-
-def mutated_source(spec: dict[str, object],
-                   repo_root: Path | None = None) -> tuple[str, str]:
-    """(normalised original, mutated) source for the spec's module.
-
-    Both sides are ``ast.unparse`` round-trips of the same parse, so
-    comment-borne markers (``# repro: hot``, ``noqa``) are lost
-    *equally* — the static oracle diffs like against like.
-    """
-    root = repo_root if repo_root is not None else _repo_root()
-    source = (root / str(spec["path"])).read_text(encoding="utf-8")
-    baseline = ast.unparse(ast.parse(source))
-    mutated = ast.unparse(apply_to_module(ast.parse(source), spec))
-    return baseline, mutated
 
 
 def install_mutant(spec: dict[str, object],
@@ -355,25 +340,6 @@ def _scenario_digests(sanitize: bool = False) -> dict[str, str]:
 # ----------------------------------------------------------------------
 # oracle-layer kernels (WorkJob entry points; run inside pool workers)
 # ----------------------------------------------------------------------
-def _static_findings(pkg_root: Path, target: Path, source: str,
-                     repo_root: Path) -> list[list[str]]:
-    """Sorted (path, code, message) triples for the tree with ``target``
-    replaced by ``source`` in memory. Paths repo-root-relative."""
-    from repro.analysis.flow import flow_paths
-    from repro.analysis.lint import discover_declared_counters, lint_source
-
-    declared = discover_declared_counters([pkg_root])
-    triples: set[tuple[str, str, str]] = set()
-    rel = target.resolve().relative_to(repo_root).as_posix()
-    for v in lint_source(source, str(target), declared_counters=declared):
-        triples.add((rel, v.code, v.message))
-    overrides = {str(target.resolve()): source}
-    for v in flow_paths([pkg_root], overrides=overrides):
-        vrel = Path(v.path).resolve().relative_to(repo_root).as_posix()
-        triples.add((vrel, v.code, v.message))
-    return [list(t) for t in sorted(triples)]
-
-
 def _kill(layer: str, detail: str) -> dict[str, object]:
     return {"outcome": "killed", "killed_by": layer, "detail": detail}
 
@@ -383,32 +349,16 @@ _SURVIVED: dict[str, object] = {
 }
 
 
-def _kernel_static(payload: dict[str, object]) -> dict[str, object]:
-    repo_root = _repo_root()
-    spec = payload["mutant"]
-    target = repo_root / str(spec["path"])
-    pkg_root = repo_root / str(payload["pkg_root"])
-    try:
-        _baseline_src, mutated_src = mutated_source(spec, repo_root)
-    except SiteNotFound as exc:
-        raise ValueError(f"stale mutation site: {exc}") from exc
-    try:
-        compile(mutated_src, str(target), "exec")
-    except (SyntaxError, ValueError) as exc:
-        return _kill("static", f"mutant does not compile: {exc}")
-    base = {tuple(t) for t in payload["static_base"]}
-    mut = {tuple(t)
-           for t in _static_findings(pkg_root, target, mutated_src,
-                                     repo_root)}
-    new = sorted(mut - base)
-    if new:
-        shown = "; ".join(f"{p}: {c} {m[:80]}" for p, c, m in new[:3])
-        return _kill("static", f"{len(new)} new finding(s): {shown}")
-    return dict(_SURVIVED)
-
-
 def _kernel_sanitizer(payload: dict[str, object]) -> dict[str, object]:
     spec = payload["mutant"]
+    # The first layer fails the job on a site that no longer matches
+    # its source; inside the sandbox it would fall through to a stats
+    # "crash" kill.
+    source = (_repo_root() / str(spec["path"])).read_text(encoding="utf-8")
+    try:
+        apply_to_module(ast.parse(source), spec)
+    except SiteNotFound as exc:
+        raise ValueError(f"stale mutation site: {exc}") from exc
 
     def body() -> dict[str, object]:
         install_mutant(spec)
@@ -478,7 +428,6 @@ def _kernel_tests(payload: dict[str, object]) -> dict[str, object]:
 
 
 _KERNELS = {
-    "static": _kernel_static,
     "sanitizer": _kernel_sanitizer,
     "stats": _kernel_stats,
     "tests": _kernel_tests,
@@ -520,8 +469,12 @@ class MutationCache:
     def put(self, key: str, outcome: dict[str, object]) -> None:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(stable_dumps(outcome), encoding="utf-8")
+        # A temp name of this writer's own: two runs sharing the store
+        # may put one key at once, and neither may move the other's.
+        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
+                                   dir=path.parent)
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(stable_dumps(outcome))
         os.replace(tmp, path)
 
 
@@ -587,8 +540,8 @@ def sample_ids(ids: list[str], sample: int, seed: int) -> list[str]:
 
 
 def _tree_sha(pkg_root: Path) -> str:
-    """Digest over every source file the oracles can reach, the
-    analysers behind the static layer included."""
+    """Digest over every source file of the package, so a change to
+    code a mutated function calls invalidates its cached outcomes."""
     entries = []
     for path in sorted(pkg_root.rglob("*.py")):
         if "__pycache__" in path.parts:
@@ -612,10 +565,7 @@ def _layer_payload(layer: str, site: MutationSite, context: dict,
         "tree_sha": context["tree_sha"],
         "timeout": context["timeout"],
     }
-    if layer == "static":
-        payload["pkg_root"] = context["pkg_root_rel"]
-        payload["static_base"] = context["static_base"][site.path]
-    elif layer in ("sanitizer", "stats"):
+    if layer in ("sanitizer", "stats"):
         payload["scenarios"] = [dict(s) for s in SCENARIOS]
         if layer == "stats":
             payload["golden"] = context["golden"]
@@ -642,31 +592,15 @@ def _build_context(paths: list[Path], sites: list[MutationSite],
                    ) -> dict[str, object]:
     """Per-run invariants shared by every job payload.
 
-    The static baselines and golden stats digests are themselves
-    cached content-addressed, so warm re-runs skip even these.
+    The golden stats digests are themselves cached content-addressed,
+    so warm re-runs skip even these.
     """
     repo_root = _repo_root()
-    pkg_root = _package_root(Path(paths[0]))
-    tree_sha = _tree_sha(pkg_root)
-    source_shas: dict[str, str] = {}
-    static_base: dict[str, list] = {}
-    for rel in sorted({s.path for s in sites}):
-        target = repo_root / rel
-        source = target.read_text(encoding="utf-8")
-        source_shas[rel] = _sha256(source)
-        key = hash_payload({
-            "kind": "static-base", "path": rel,
-            "source_sha": source_shas[rel], "tree_sha": tree_sha,
-        })
-        hit = cache.get(key) if cache is not None else None
-        if hit is not None:
-            static_base[rel] = hit["triples"]
-            continue
-        normalised = ast.unparse(ast.parse(source))
-        triples = _static_findings(pkg_root, target, normalised, repo_root)
-        static_base[rel] = triples
-        if cache is not None:
-            cache.put(key, {"triples": triples})
+    tree_sha = _tree_sha(_package_root(Path(paths[0])))
+    source_shas = {
+        rel: _sha256((repo_root / rel).read_text(encoding="utf-8"))
+        for rel in sorted({s.path for s in sites})
+    }
     golden_key = hash_payload({
         "kind": "golden", "tree_sha": tree_sha,
         "scenarios": [dict(s) for s in SCENARIOS],
@@ -679,11 +613,9 @@ def _build_context(paths: list[Path], sites: list[MutationSite],
         if cache is not None:
             cache.put(golden_key, {"digests": golden})
     return {
-        "pkg_root_rel": pkg_root.relative_to(repo_root).as_posix(),
         "tree_sha": tree_sha,
         "tests_sha": _pinned_tests_sha(repo_root),
         "source_shas": source_shas,
-        "static_base": static_base,
         "golden": golden,
         "timeout": timeout,
     }

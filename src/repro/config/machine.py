@@ -158,7 +158,9 @@ class MachineConfig:
     #: paper's simpler arbitration disables selection from the IQ
     #: entirely that cycle ("take precedence"); the default arbitrates
     #: (DAB first, then IQ). The paper reports the difference is
-    #: negligible; bench_ablation_dab_exclusive verifies.
+    #: negligible; nothing here measures it.
+    #: ``tests/test_fetch.py::TestDabExclusiveConfig`` only checks that
+    #: a run with the flag completes.
     dab_exclusive: bool = False
     #: Watchdog countdown used when ``deadlock_mode == "watchdog"``; the
     #: paper suggests 2–3x the memory latency.

@@ -14,8 +14,12 @@ timer — guaranteed to make forward progress under faults:
 * :mod:`repro.exec.cache`   — :class:`ResultCache`, an on-disk
   content-addressed store with atomic writes, payload checksums and
   corrupt-entry quarantine;
-* :mod:`repro.exec.journal` — :class:`RunJournal`, a crash-safe fsync'd
-  transition log enabling exact resume of interrupted runs;
+* :mod:`repro.exec.journal` — :class:`RunJournal`, an optional
+  fsync'd log of every job transition;
+* :mod:`repro.exec.ledger`  — :class:`JobLedger`, the job lifecycle
+  both runners share: the cache pass first, so an interrupted or
+  repeated grid rerun with the same ``cache_dir`` simulates only the
+  points the cache lacks;
 * :mod:`repro.exec.chaos`   — :class:`ChaosConfig`, seeded deterministic
   fault injection (worker kills/hangs, delivery faults, cache
   corruption) for testing all of the above;
@@ -43,9 +47,8 @@ from repro.exec.journal import (
     DEFAULT_JOURNAL_DIR,
     RunJournal,
     default_journal_dir,
-    derive_run_id,
 )
-from repro.exec.ledger import JobLedger
+from repro.exec.ledger import JobLedger, derive_run_id
 from repro.exec.pool import (
     ExecProgress,
     ExecReport,

@@ -1,4 +1,4 @@
-"""``python -m repro.exec`` — cache maintenance, resume, chaos smoke.
+"""``python -m repro.exec`` — cache maintenance and the chaos smoke.
 
 Usage::
 
@@ -8,9 +8,6 @@ Usage::
                                                 # traces/ and warm/
     python -m repro.exec cache stats --dir X    # non-default root
 
-    python -m repro.exec resume <run-id>        # finish an interrupted run
-    python -m repro.exec resume <run-id> --journal-dir X --jobs 4
-
     python -m repro.exec chaos-smoke            # chaos run == fault-free run
     REPRO_CHAOS="kill=0.3,corrupt=0.5,seed=7" python -m repro.exec chaos-smoke
 """
@@ -18,13 +15,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import tempfile
 
 from repro.exec.cache import ResultCache, default_cache_dir
 from repro.exec.chaos import ChaosConfig
-from repro.exec.journal import RunJournal, default_journal_dir
 from repro.exec.pool import ExecutionError, ExecutorConfig, execute_jobs
 
 
@@ -53,40 +48,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     removed = cache.clear()
     print(f"removed {removed} entr{'y' if removed == 1 else 'ies'} "
           f"from {cache.root}")
-    return 0
-
-
-def _cmd_resume(args: argparse.Namespace) -> int:
-    journal_dir = (args.journal_dir if args.journal_dir is not None
-                   else default_journal_dir())
-    path = journal_dir / f"{args.run_id}.jsonl"
-    if not path.exists():
-        print(f"error: no journal {path}", file=sys.stderr)
-        return 2
-    # Load the grid from the journal's queued fingerprints, then let the
-    # executor's resume pass replay completed results and run the rest.
-    loaded = RunJournal(journal_dir, args.run_id, resume=True)
-    jobs = loaded.queued_jobs()
-    loaded.close()
-    if not jobs:
-        print(f"error: journal {path} records no jobs", file=sys.stderr)
-        return 2
-    executor = dataclasses.replace(
-        ExecutorConfig.from_env(),
-        journal_dir=journal_dir, run_id=args.run_id, resume=True,
-    )
-    if args.jobs is not None:
-        executor = dataclasses.replace(executor, jobs=args.jobs)
-    try:
-        _, report = execute_jobs(jobs, executor)
-    except ExecutionError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    print(
-        f"run {args.run_id}: {report.total} job(s) — "
-        f"{report.resumed} resumed, {report.cached} cached, "
-        f"{report.simulated} simulated, {report.retried} retried"
-    )
     return 0
 
 
@@ -153,9 +114,8 @@ def main(argv: list[str] | None = None) -> int:
     """CLI dispatcher; returns the process exit code."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.exec",
-        description="grid-execution maintenance: result cache, run "
-                    "journal resume, chaos smoke "
-                    "(see docs/exec.md, docs/robustness.md)",
+        description="grid-execution maintenance: result cache, chaos "
+                    "smoke (see docs/exec.md, docs/robustness.md)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -164,15 +124,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("action", choices=["stats", "verify", "clear"])
     p.add_argument("--dir", type=str, default=None,
                    help=f"cache root (default: {default_cache_dir()})")
-
-    p = sub.add_parser("resume", help="re-execute the incomplete jobs "
-                                      "of an interrupted run")
-    p.add_argument("run_id", help="journal id printed by the original "
-                                  "run (results/journal/<id>.jsonl)")
-    p.add_argument("--journal-dir", type=_path, default=None,
-                   help=f"journal root (default: {default_journal_dir()})")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: $REPRO_JOBS or 1)")
 
     p = sub.add_parser(
         "chaos-smoke",
@@ -184,15 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "cache":
         return _cmd_cache(args)
-    if args.command == "resume":
-        return _cmd_resume(args)
     return _cmd_chaos_smoke(args)
-
-
-def _path(value: str):
-    from pathlib import Path
-
-    return Path(value)
 
 
 if __name__ == "__main__":  # pragma: no cover

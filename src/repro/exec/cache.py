@@ -100,7 +100,7 @@ class CacheStats:
     by_kind: tuple[tuple[str, int, int], ...] = ()
     #: Cache hits summed over the persisted per-run counter files
     #: (``<root>/runs/<run-id>.json``, written at the end of every
-    #: journalled run).
+    #: run with this cache).
     hits: int = 0
     #: Cache misses (jobs a run had to execute) over the same files.
     misses: int = 0
@@ -240,8 +240,8 @@ class ResultCache:
                    total: int) -> Path:
         """Persist one run's hit/miss counters under ``runs/<run-id>``.
 
-        Written (atomically, like entries) at the end of every
-        journalled run by :meth:`repro.exec.ledger.JobLedger.summarize`;
+        Written (atomically, like entries) at the end of every run
+        with a cache by :meth:`repro.exec.ledger.JobLedger.summarize`;
         ``stats`` aggregates them so hit rates survive across
         processes and are visible to ``cache stats``.
         Re-running the same grid overwrites its own counter file (run
@@ -374,8 +374,8 @@ class ResultCache:
 # (de)serialisation
 # ----------------------------------------------------------------------
 def encode_job_result(payload: JobResult) -> dict[str, object]:
-    """Encode a :class:`JobResult` as the JSON-safe payload body shared
-    by cache entries and journal ``done`` records."""
+    """Encode a :class:`JobResult` as the JSON-safe payload body of a
+    cache entry."""
     result = payload.result
     return {
         "result": {

@@ -21,12 +21,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.config.machine import (
-    BranchPredictorConfig,
-    CacheConfig,
-    MachineConfig,
-    MemoryConfig,
-)
+from repro.config.machine import MachineConfig
 from repro.metrics.ipc import SimResult
 from repro.trace.profiles import ALL_BENCHMARKS, PROFILES
 
@@ -97,27 +92,6 @@ class SimJob:
             "with_fairness": self.with_fairness,
         }
 
-    @classmethod
-    def from_fingerprint(cls, payload: dict[str, object]) -> "SimJob":
-        """Reconstruct a job from :meth:`fingerprint_payload` output.
-
-        The run journal records each queued job's fingerprint so
-        ``python -m repro.exec resume`` can rebuild and re-execute the
-        incomplete remainder of an interrupted grid. Round-trip safety
-        is test-enforced: the reconstructed job has the same content
-        hash as the original.
-        """
-        return cls(
-            benchmarks=tuple(str(b) for b in payload["benchmarks"]),
-            config=config_from_dict(payload["config"]),
-            max_insns=int(payload["max_insns"]),
-            seed=int(payload["seed"]),
-            max_cycles=int(payload["max_cycles"]),
-            warmup=(None if payload["warmup"] is None
-                    else int(payload["warmup"])),
-            with_fairness=bool(payload["with_fairness"]),
-        )
-
     def content_hash(self) -> str:
         """Stable SHA-256 hex digest of the job's content.
 
@@ -179,7 +153,7 @@ class WorkJob:
     watchdog, retries, journalling. The work itself is named by
     ``entry`` (``"package.module:function"``); the function receives
     ``payload`` (a JSON-safe dict — RPR012's pickle-safety rules apply)
-    and should return a JSON-safe value so the journal can embed it.
+    and should return a picklable value for the worker to ship back.
 
     Results are *not* stored in the :class:`~repro.exec.cache
     .ResultCache` (its schema is :class:`SimJob`-shaped); callers that
@@ -191,8 +165,8 @@ class WorkJob:
     payload: dict
     #: Relative wall-clock estimate for longest-job-first ordering.
     cost: int = 1
-    #: Discriminator recorded in the fingerprint so the journal can
-    #: reconstruct the right job class on resume.
+    #: Label shown by :meth:`describe`; part of the fingerprint, so
+    #: jobs of different kinds never share a content hash.
     kind: str = "work"
 
     def fingerprint_payload(self) -> dict[str, object]:
@@ -203,16 +177,6 @@ class WorkJob:
             "payload": self.payload,
             "cost": self.cost,
         }
-
-    @classmethod
-    def from_fingerprint(cls, payload: dict[str, object]) -> "WorkJob":
-        """Reconstruct a job from :meth:`fingerprint_payload` output."""
-        return cls(
-            entry=str(payload["entry"]),
-            payload=dict(payload["payload"]),
-            cost=int(payload.get("cost", 1)),
-            kind=str(payload.get("kind", "work")),
-        )
 
     def content_hash(self) -> str:
         """Stable SHA-256 hex digest of the job's content."""
@@ -241,27 +205,6 @@ class WorkJob:
         fn = getattr(importlib.import_module(module_name), func_name)
         out = fn(dict(self.payload))
         return {} if out is None else out
-
-
-def config_from_dict(raw: object) -> MachineConfig:
-    """Rebuild a :class:`MachineConfig` from ``dataclasses.asdict`` form.
-
-    Inverse of the ``config`` leg of :meth:`SimJob.fingerprint_payload`;
-    nested cache/branch-predictor dataclasses are reconstructed so the
-    result validates itself exactly like a hand-built config.
-    """
-    if not isinstance(raw, dict):
-        raise TypeError("config payload is not an object")
-    d = dict(raw)
-    mem = dict(d.pop("mem"))
-    d["mem"] = MemoryConfig(
-        l1i=CacheConfig(**mem.pop("l1i")),
-        l1d=CacheConfig(**mem.pop("l1d")),
-        l2=CacheConfig(**mem.pop("l2")),
-        **mem,
-    )
-    d["bp"] = BranchPredictorConfig(**d.pop("bp"))
-    return MachineConfig(**d)
 
 
 def hash_payload(payload: dict[str, object]) -> str:

@@ -1,30 +1,25 @@
 """Crash-safe run journal: one fsync'd JSON line per job transition.
 
-While a grid executes, :func:`repro.exec.execute_jobs` appends a record
-to ``results/journal/<run-id>.jsonl`` at every job transition::
+While a grid executes with a ``journal_dir``, :func:`repro.exec
+.execute_jobs` appends a record to ``results/journal/<run-id>.jsonl`` at
+every job transition::
 
-    {"event": "run-start", "run_id": ..., "total": N, ...}
-    {"event": "queued",  "job": "<hash>", "fingerprint": {...}}
+    {"event": "run-start", "run_id": ..., "total": N, "schema": 2}
+    {"event": "queued",  "job": "<hash>"}
     {"event": "started", "job": "<hash>", "attempt": 0}
-    {"event": "done",    "job": "<hash>", "payload": {...}}   # full result
-    {"event": "cached" | "resumed" | "retried" | "failed" | "interrupted", ...}
+    {"event": "done",    "job": "<hash>"}
+    {"event": "cached" | "retried" | "failed" | "interrupted", ...}
     {"event": "run-end", "simulated": ..., "cached": ..., ...}
 
 Every line is written with ``O_APPEND`` + ``fsync`` before the executor
 moves on, so the journal is exactly as complete as the work that
-actually happened — a worker crash, a ``kill -9``, or a Ctrl-C cannot
-lose a completed job or invent an incomplete one. A torn final line
-(the one write a crash can interrupt) is detected and ignored on load.
+actually happened. It is a transition log for people and tools to read;
+nothing in this package reads it back. Finished results live in the
+result cache: an interrupted or repeated grid rerun with the same
+``cache_dir`` simulates only the points the cache lacks.
 
-Because ``done`` records embed the full encoded result, the journal
-alone is sufficient to resume: ``python -m repro.exec resume <run-id>``
-(or ``ExecutorConfig(resume=True)``) replays completed results with
-**zero re-simulation** and re-executes only the incomplete remainder.
-``queued`` records embed each job's fingerprint, so the resume CLI can
-rebuild the grid without the original driver script.
-
-Run ids are content-derived (a hash of the batch's job hashes), so the
-same grid always journals to the same file; starting a *fresh* run of a
+Run ids are content-derived (:func:`repro.exec.ledger.derive_run_id`),
+so the same grid always journals to the same file; starting a run of a
 grid whose journal already exists atomically moves the old journal
 aside to ``<run-id>.jsonl.1`` first.
 """
@@ -33,14 +28,11 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Sequence
 from pathlib import Path
 
-from repro.exec.cache import decode_job_result, encode_job_result
-from repro.exec.jobs import JobResult, SimJob, WorkJob, hash_payload
-
-#: Journal line-format version, recorded in ``run-start``.
-JOURNAL_SCHEMA = 1
+#: Journal line-format version, recorded in ``run-start``. Version 2
+#: dropped the fingerprint from ``queued`` and the result from ``done``.
+JOURNAL_SCHEMA = 2
 
 #: Default journal root, relative to the current working directory.
 DEFAULT_JOURNAL_DIR = Path("results") / "journal"
@@ -65,92 +57,27 @@ def journal_dir_from_env() -> Path | None:
     return default_journal_dir()
 
 
-def derive_run_id(job_hashes: Sequence[str]) -> str:
-    """Deterministic run id for a batch: a digest over its job hashes.
-
-    The id depends only on *what* is being executed, so re-running the
-    same grid finds (and can resume) its own journal without the caller
-    tracking ids.
-    """
-    return hash_payload({"jobs": list(job_hashes)})[:16]
-
-
 class RunJournal:
     """Append-only transition log for one run id.
 
-    ``resume=True`` loads the existing journal (completed results,
-    queued fingerprints) and appends to it; ``resume=False`` rotates any
-    existing file aside and starts fresh.
+    Opening a run id whose journal exists rotates the old file aside
+    and starts fresh.
     """
 
-    def __init__(self, root: str | Path, run_id: str,
-                 resume: bool = False) -> None:
+    def __init__(self, root: str | Path, run_id: str) -> None:
         self.root = Path(root)
         self.run_id = run_id
         self.path = self.root / f"{run_id}.jsonl"
         self.root.mkdir(parents=True, exist_ok=True)
-        #: job hash -> decoded result, from prior ``done`` records.
-        self._completed: dict[str, object] = {}
-        #: job hash -> fingerprint payload, in first-queued order.
-        self._fingerprints: dict[str, dict] = {}
         self._seq = 0
         if self.path.exists():
-            if resume:
-                self._load()
-            else:
-                os.replace(self.path, self.path.with_name(
-                    self.path.name + ".1"
-                ))
+            os.replace(self.path, self.path.with_name(
+                self.path.name + ".1"
+            ))
         self._fd: int | None = os.open(
             self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
         )
 
-    # ------------------------------------------------------------------
-    def _load(self) -> None:
-        """Replay an existing journal.
-
-        Tolerates exactly the damage a crash can cause: a torn final
-        line (no trailing newline / truncated JSON) is skipped and
-        truncated from disk. Any *earlier* malformed line means outside
-        interference and raises.
-        """
-        blob = self.path.read_bytes()
-        lines = blob.split(b"\n")
-        parsed = 0
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as exc:
-                if i == len(lines) - 1:
-                    # A crash mid-write leaves exactly one torn,
-                    # newline-less fragment at the tail. Drop it from
-                    # disk too, or the records this resume appends
-                    # would concatenate onto it and damage the journal
-                    # for every later load.
-                    os.truncate(self.path, len(blob) - len(line))
-                    break
-                raise ValueError(
-                    f"journal {self.path} is damaged at line {i + 1}"
-                ) from exc
-            self._absorb(rec)
-            parsed += 1
-        self._seq = parsed
-
-    def _absorb(self, rec: dict) -> None:
-        event = rec.get("event")
-        job = rec.get("job")
-        if event == "queued" and job is not None:
-            self._fingerprints.setdefault(job, rec.get("fingerprint"))
-        elif event == "done" and job is not None:
-            if rec.get("payload_kind", "sim") == "sim":
-                self._completed[job] = decode_job_result(rec["payload"])
-            else:
-                # Generic (WorkJob) results are journalled verbatim.
-                self._completed[job] = rec["payload"]
-
-    # ------------------------------------------------------------------
     def record(self, event: str, job_hash: str | None = None,
                **fields: object) -> None:
         """Append one fsync'd transition record."""
@@ -165,48 +92,15 @@ class RunJournal:
         os.write(self._fd, line.encode("utf-8"))
         os.fsync(self._fd)
         self._seq += 1
-        self._absorb(rec)
 
     def record_queued(self, job, job_hash: str) -> None:
-        """Record a queued job with its reconstruction fingerprint."""
-        self.record("queued", job_hash,
-                    fingerprint=job.fingerprint_payload())
+        """Record that ``job`` (hashing to ``job_hash``) is queued."""
+        self.record("queued", job_hash)
 
     def record_done(self, job_hash: str, payload: object) -> None:
-        """Record a completed job with its full encoded result.
-
-        :class:`JobResult` payloads go through the cache's codec;
-        anything else (a :class:`~repro.exec.jobs.WorkJob` return) must
-        already be JSON-safe and is embedded verbatim, discriminated by
-        ``payload_kind`` so replay decodes each record correctly.
-        """
-        if isinstance(payload, JobResult):
-            self.record("done", job_hash,
-                        payload=encode_job_result(payload))
-        else:
-            self.record("done", job_hash, payload=payload,
-                        payload_kind="raw")
-
-    # ------------------------------------------------------------------
-    def completed_results(self) -> dict[str, object]:
-        """Results of every job this journal has seen complete."""
-        return dict(self._completed)
-
-    def queued_jobs(self) -> list:
-        """Reconstruct every queued job, in first-queued order.
-
-        The fingerprint's ``kind`` discriminator selects the job class;
-        historical journals (no ``kind``) are all :class:`SimJob`.
-        """
-        out = []
-        for fp in self._fingerprints.values():
-            if fp is None:
-                continue
-            if fp.get("kind") == "work":
-                out.append(WorkJob.from_fingerprint(fp))
-            else:
-                out.append(SimJob.from_fingerprint(fp))
-        return out
+        """Record that a job completed. The journal keeps no result;
+        the cache keeps :class:`~repro.exec.jobs.JobResult` payloads."""
+        self.record("done", job_hash)
 
     def close(self) -> None:
         """Close the journal fd (records already on disk stay put)."""

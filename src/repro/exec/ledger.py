@@ -1,29 +1,26 @@
 """Job-lifecycle state machine for grid execution.
 
 :func:`repro.exec.pool.execute_jobs` has two runners: in-process and
-the forked worker farm. Both need the same lifecycle — journal replay,
-the warm-cache pass, per-transition journalling, retry accounting,
-result caching and progress events — so it lives here as
-:class:`JobLedger`, and each runner only decides where and when a job
-runs.
+the forked worker farm. Both need the same lifecycle — the cache pass,
+per-transition journalling, retry accounting, result caching and
+progress events — so it lives here as :class:`JobLedger`, and each
+runner only decides where and when a job runs.
 
 A ledger owns one batch of jobs and guarantees, regardless of which
 runner executes them:
 
-* **replay first** — :meth:`open` replays any previously-journalled
-  ``done`` records (resume), then consults the
-  :class:`~repro.exec.cache.ResultCache`, so completed grid points are
-  never recomputed;
-* **every transition journalled** — ``queued``/``started``/``retried``/
-  ``done``/``failed``/``interrupted`` records are appended (fsync'd)
-  before the runner moves on, so a crash loses nothing and
-  ``python -m repro.exec resume <run-id>`` works on a journal written
-  by either runner;
+* **cache first** — :meth:`open` consults the
+  :class:`~repro.exec.cache.ResultCache`, so a grid point an earlier
+  run finished, interrupted or not, is never recomputed;
+* **every transition journalled** — when a ``journal_dir`` is set,
+  ``queued``/``started``/``retried``/``done``/``failed``/``interrupted``
+  records are appended (fsync'd) before the runner moves on;
 * **results land once** — :meth:`complete` caches (for
   :class:`~repro.exec.jobs.SimJob` results), records and emits in one
-  step, keeping :class:`ExecReport` counts consistent with the journal;
-* **per-run cache counters** — on :meth:`summarize` the hit/miss
-  counts of the run are persisted next to the cache
+  step, so a result is in the cache before anyone hears of it;
+* **per-run cache counters** — every batch has a content-derived run
+  id (:func:`derive_run_id`), and on :meth:`summarize` the run's
+  hit/miss counts are persisted next to the cache
   (``<cache root>/runs/<run-id>.json``), feeding
   ``python -m repro.exec cache stats``.
 """
@@ -32,10 +29,21 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.exec.cache import ResultCache
-from repro.exec.jobs import JobResult, SimJob
-from repro.exec.journal import RunJournal
+from repro.exec.jobs import JobResult, SimJob, hash_payload
+from repro.exec.journal import JOURNAL_SCHEMA, RunJournal
+
+
+def derive_run_id(job_hashes: Sequence[str]) -> str:
+    """Deterministic run id for a batch: a digest over its job hashes.
+
+    The id depends only on *what* is being executed, so re-running the
+    same grid reuses its journal file name and replaces its own cache
+    counters instead of adding a second record.
+    """
+    return hash_payload({"jobs": list(job_hashes)})[:16]
 
 
 @dataclass(slots=True)
@@ -45,16 +53,15 @@ class ExecReport:
     total: int = 0
     #: Jobs satisfied from the result cache without simulating.
     cached: int = 0
-    #: Jobs replayed from a prior run's journal without simulating.
-    resumed: int = 0
     #: Jobs actually simulated (in-process or in a worker).
     simulated: int = 0
     #: Jobs that exhausted their retry budget.
     failed: int = 0
     #: Crashed/hung/timed-out attempts that were retried.
     retried: int = 0
-    #: Journal id of this run; None when journalling is off.
-    run_id: str | None = None
+    #: Content-derived id of the batch (:func:`derive_run_id`): the
+    #: name of its journal and of its cache counter file.
+    run_id: str = ""
     #: Terminal :class:`JobFailure` records, in resolution order.
     #: Raised inside :class:`~repro.exec.pool.ExecutionError` normally;
     #: the caller's to inspect under ``tolerate_failures``.
@@ -62,8 +69,8 @@ class ExecReport:
 
     @property
     def completed(self) -> int:
-        """Jobs resolved so far (cached + resumed + simulated + failed)."""
-        return self.cached + self.resumed + self.simulated + self.failed
+        """Jobs resolved so far (cached + simulated + failed)."""
+        return self.cached + self.simulated + self.failed
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +79,7 @@ class ExecProgress:
 
     job: SimJob
     payload: JobResult | None
-    #: "cached" | "resumed" | "simulated" | "failed"
+    #: "cached" | "simulated" | "failed"
     outcome: str
     report: ExecReport
 
@@ -99,25 +106,20 @@ class JobLedger:
     """
 
     def __init__(self, jobs: Sequence, *,
-                 hashes: Sequence[str] | None = None,
                  cache: ResultCache | None = None,
-                 journal: RunJournal | None = None,
-                 resume: bool = False,
+                 journal_dir: str | Path | None = None,
                  retries: int = 1,
                  progress: ProgressFn | None = None) -> None:
         self.jobs = list(jobs)
-        self.hashes = (list(hashes) if hashes is not None
-                       else [job.content_hash() for job in self.jobs])
+        self.hashes = [job.content_hash() for job in self.jobs]
         self.cache = cache
-        self.journal = journal
-        self.resume = resume
         self.retries = retries
         self.progress = progress
-        self.report = ExecReport(total=len(self.jobs))
-        if journal is not None:
-            self.report.run_id = journal.run_id
+        self.report = ExecReport(total=len(self.jobs),
+                                 run_id=derive_run_id(self.hashes))
+        self.journal = (RunJournal(journal_dir, self.report.run_id)
+                        if journal_dir is not None else None)
         self.results: list[object | None] = [None] * len(self.jobs)
-        self._opened = False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -131,32 +133,20 @@ class JobLedger:
             ))
 
     def open(self) -> list[int]:
-        """Journal the batch header, replay, and run the cache pass.
+        """Journal the batch header and run the cache pass.
 
         Returns the indices still pending (to be executed by the
         runner), in submission order.
         """
-        self._opened = True
         journal = self.journal
-        replayed = (journal.completed_results()
-                    if journal is not None and self.resume else {})
         if journal is not None:
             journal.record("run-start", run_id=self.report.run_id,
-                           total=len(self.jobs), resume=self.resume,
-                           schema=1)
+                           total=len(self.jobs), schema=JOURNAL_SCHEMA)
             for job, job_hash in zip(self.jobs, self.hashes):
                 journal.record_queued(job, job_hash)
 
         pending: list[int] = []
         for idx, job in enumerate(self.jobs):
-            prior = replayed.get(self.hashes[idx])
-            if prior is not None:
-                self.results[idx] = prior
-                self.report.resumed += 1
-                if journal is not None:
-                    journal.record("resumed", self.hashes[idx])
-                self._emit(idx, prior, "resumed")
-                continue
             # The disk cache's schema is SimJob/JobResult-shaped; other
             # job kinds bring their own store (see the WorkJob
             # docstring).
@@ -238,21 +228,18 @@ class JobLedger:
     def summarize(self) -> None:
         """Record the ``run-end`` summary and persist cache counters.
 
-        Called once on normal completion (an interrupted run has no
-        summary — that is how resume knows it is incomplete).
+        Called once on normal completion; an interrupted run has no
+        summary.
         """
         r = self.report
         if self.journal is not None:
             self.journal.record(
-                "run-end", cached=r.cached, resumed=r.resumed,
-                simulated=r.simulated, failed=r.failed,
-                retried=r.retried,
+                "run-end", cached=r.cached, simulated=r.simulated,
+                failed=r.failed, retried=r.retried,
             )
-        if self.cache is not None and r.run_id is not None:
-            self.cache.record_run(
-                r.run_id, hits=r.cached,
-                misses=r.total - r.cached - r.resumed, total=r.total,
-            )
+        if self.cache is not None:
+            self.cache.record_run(r.run_id, hits=r.cached,
+                                  misses=r.total - r.cached, total=r.total)
 
     def close(self) -> None:
         """Close the journal fd (safe to call repeatedly)."""

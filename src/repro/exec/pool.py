@@ -4,11 +4,10 @@
 driver and benchmark routes through. It
 
 * drives a :class:`~repro.exec.ledger.JobLedger` — the job-lifecycle
-  state machine both local runners share — which replays any
-  previously-journalled results first (``resume``), then consults the
+  state machine both local runners share — which first consults the
   :class:`~repro.exec.cache.ResultCache` (when one is configured), so
-  an interrupted or warm rerun performs zero re-simulation of
-  completed grid points;
+  an interrupted or warm rerun with the same ``cache_dir`` performs
+  zero re-simulation of completed grid points;
 * runs the remaining jobs either in-process (``jobs=1``, a single
   pending job, or a platform without ``fork``) or on a farm of forked
   worker processes, scheduling **longest job first** so one straggler
@@ -18,9 +17,9 @@ driver and benchmark routes through. It
   heartbeat pipe, escalates ``terminate -> kill``, and retries crashed,
   hung or timed-out workers a bounded number of times;
 * appends one fsync'd record per job transition to the run journal
-  (when configured), terminates children and flushes the journal on
-  ``KeyboardInterrupt`` before re-raising, and reaps any orphaned
-  worker at interpreter exit;
+  (when configured), terminates children and journals the in-flight
+  jobs on ``KeyboardInterrupt`` before re-raising, and reaps any
+  orphaned worker at interpreter exit;
 * optionally injects deterministic faults (worker kills/hangs, delivery
   delay/duplication, cache corruption) from a seeded
   :class:`~repro.exec.chaos.ChaosConfig` — the test-enforced invariant
@@ -57,7 +56,7 @@ from time import (  # repro: noqa[RPR001]
 from repro.exec.cache import ResultCache, default_cache_dir
 from repro.exec.chaos import CHAOS_EXIT_CODE, ChaosConfig, ChaosError
 from repro.exec.jobs import JobResult, SimJob
-from repro.exec.journal import RunJournal, derive_run_id, journal_dir_from_env
+from repro.exec.journal import journal_dir_from_env
 from repro.exec.ledger import (
     ExecProgress,
     ExecReport,
@@ -125,15 +124,9 @@ class ExecutorConfig:
     #: How many *additional* attempts a crashed, hung or timed-out job
     #: gets before it is reported as failed.
     retries: int = 1
-    #: Directory of the crash-safe run journal; None disables
-    #: journalling (and hence resume).
+    #: Directory of the run journal (a transition log named by the
+    #: batch's content-derived run id); None disables journalling.
     journal_dir: str | Path | None = None
-    #: Journal file name; None derives a content-addressed id from the
-    #: batch (same grid -> same journal).
-    run_id: str | None = None
-    #: Replay completed results from an existing journal instead of
-    #: rotating it aside and starting fresh.
-    resume: bool = False
     #: Deterministic fault injection; None runs faithfully.
     chaos: ChaosConfig | None = None
     #: Declare a worker hung when its heartbeat pipe has been silent
@@ -178,8 +171,7 @@ class ExecutorConfig:
         before (``REPRO_CACHE=1`` — or ``default_cache=True`` — enables
         the cache at its default root, ``REPRO_CACHE=0`` disables it
         either way); ``REPRO_JOURNAL`` (``1`` or a directory) enables
-        the run journal; ``REPRO_RESUME=1`` resumes from it;
-        ``REPRO_CHAOS`` configures fault injection (see
+        the run journal; ``REPRO_CHAOS`` configures fault injection (see
         :mod:`repro.exec.chaos`); ``REPRO_WATCHDOG`` overrides the hung
         -worker grace in seconds (``0`` disables).
         """
@@ -197,7 +189,6 @@ class ExecutorConfig:
             jobs=jobs,
             cache_dir=default_cache_dir() if cached else None,
             journal_dir=journal_dir_from_env(),
-            resume=os.environ.get("REPRO_RESUME", "0") not in ("", "0"),
             chaos=ChaosConfig.from_env(),
             watchdog=watchdog,
         )
@@ -243,21 +234,16 @@ def execute_jobs(jobs: Sequence[SimJob],
     hang or timeout beyond the retry budget, or an exception raised by
     the simulation itself). On ``KeyboardInterrupt`` all workers are
     terminated, in-flight jobs are journalled as ``interrupted``, and
-    the interrupt is re-raised — a later ``resume`` run picks up
-    exactly the incomplete remainder.
+    the interrupt is re-raised. With a ``cache_dir``, every
+    :class:`SimJob` that completed before it is already cached, so a
+    rerun with the same cache simulates exactly the remainder.
     """
     cfg = executor if executor is not None else ExecutorConfig()
     cache = (ResultCache(cfg.cache_dir, chaos=cfg.chaos)
              if cfg.cache_dir is not None else None)
-    hashes = [job.content_hash() for job in jobs]
-    journal: RunJournal | None = None
-    if cfg.journal_dir is not None:
-        run_id = cfg.run_id or derive_run_id(hashes)
-        journal = RunJournal(cfg.journal_dir, run_id, resume=cfg.resume)
-
     ledger = JobLedger(
-        jobs, hashes=hashes, cache=cache, journal=journal,
-        resume=cfg.resume, retries=cfg.retries, progress=progress,
+        jobs, cache=cache, journal_dir=cfg.journal_dir,
+        retries=cfg.retries, progress=progress,
     )
     try:
         pending = ledger.open()
@@ -543,9 +529,9 @@ def _run_in_processes(pending, cfg, ledger: JobLedger) -> None:
                     )
     except BaseException:
         # Ctrl-C (or any other escape): terminate and join every child,
-        # journal the in-flight jobs as interrupted so a resume run
-        # re-executes exactly them, then re-raise. The journal's
-        # per-record fsync means completed work is already durable.
+        # journal the in-flight jobs as interrupted, then re-raise.
+        # Completed jobs are already in the cache, so a rerun with it
+        # re-executes exactly the in-flight and never-started ones.
         for slot in list(running):
             slot.conn.close()
             if slot.hb is not None:

@@ -46,19 +46,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for the grid (default: "
                         "$REPRO_JOBS or 1)")
     p.add_argument("--cache", action="store_true",
-                   help="serve repeated grid points from the "
-                        "content-addressed result cache (see docs/exec.md)")
+                   help="serve grid points an earlier run finished, "
+                        "interrupted or not, from the content-addressed "
+                        "result cache (see docs/exec.md)")
     p.add_argument("--cache-dir", type=str, default=None,
                    help="cache root (default: $REPRO_CACHE_DIR or "
                         "results/cache); implies --cache")
     p.add_argument("--journal", type=str, nargs="?", const="", default=None,
                    metavar="DIR",
-                   help="append a crash-safe run journal per grid "
+                   help="append a log of job transitions per grid "
                         "(default dir: $REPRO_JOURNAL or results/journal; "
                         "see docs/robustness.md)")
-    p.add_argument("--resume", action="store_true",
-                   help="replay completed jobs from existing journals "
-                        "instead of re-simulating them; implies --journal")
     _add_common(p)
 
     p = sub.add_parser("classify", help="single-thread ILP classification")
@@ -107,12 +105,11 @@ def main(argv: list[str] | None = None) -> int:
             executor = dataclasses.replace(executor, jobs=args.jobs)
         if args.cache_dir is not None:
             executor = executor.with_cache_dir(args.cache_dir)
-        if args.journal is not None or args.resume:
+        if args.journal is not None:
             from repro.exec import default_journal_dir
 
-            journal_dir = args.journal or default_journal_dir()
             executor = dataclasses.replace(
-                executor, journal_dir=journal_dir, resume=args.resume
+                executor, journal_dir=args.journal or default_journal_dir()
             )
 
         driver = FIGURE_DRIVERS[args.number]

@@ -5,10 +5,10 @@ fault injection enabled (worker kills, hangs, delivery faults, cache
 corruption), a sweep must still complete and produce results
 byte-identical to a fault-free run. Around it: chaos-policy parsing and
 replayability, cache integrity (checksums, quarantine, ``verify``),
-journal transitions / torn-tail recovery / rotation, interrupt-then-
-resume with zero re-simulation, and the degraded paths (fork-less
-serial fallback, retry-budget exhaustion, timeout on a hung worker,
-watchdog on a silent one).
+journal transitions and rotation, interrupt-then-rerun from the cache
+with no re-simulation of finished points, and the degraded paths
+(fork-less serial fallback, retry-budget exhaustion, timeout on a hung
+worker, watchdog on a silent one).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.exec import (
     ExecutionError,
     ExecutorConfig,
     ResultCache,
-    RunJournal,
     SimJob,
     derive_run_id,
     execute_jobs,
@@ -34,6 +33,7 @@ from repro.exec import (
     live_worker_count,
 )
 from repro.exec.cache import CORRUPT_SUFFIX, encode_job_result
+from repro.exec.journal import JOURNAL_SCHEMA
 from repro.exec.__main__ import main as exec_main
 from repro.workloads.mixes import TWO_THREAD_MIXES
 
@@ -134,12 +134,10 @@ class TestChaosConfigParse:
     def test_executor_from_env_picks_up_knobs(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CHAOS", "kill=0.1,seed=5")
         monkeypatch.setenv("REPRO_JOURNAL", str(tmp_path / "j"))
-        monkeypatch.setenv("REPRO_RESUME", "1")
         monkeypatch.setenv("REPRO_WATCHDOG", "2.5")
         cfg = ExecutorConfig.from_env()
         assert cfg.chaos == ChaosConfig(seed=5, kill_p=0.1)
         assert str(cfg.journal_dir) == str(tmp_path / "j")
-        assert cfg.resume is True
         assert cfg.watchdog == 2.5
 
     def test_watchdog_env_zero_disables(self, monkeypatch):
@@ -320,7 +318,7 @@ class TestCacheIntegrity:
 
 
 # ----------------------------------------------------------------------
-# run journal: transitions, rotation, torn tail
+# run journal: transitions, rotation
 # ----------------------------------------------------------------------
 class TestJournal:
     def _records(self, path) -> list[dict]:
@@ -342,10 +340,11 @@ class TestJournal:
         assert events.count("queued") == 2
         assert events.count("started") == 2
         assert events.count("done") == 2
-        done = next(r for r in recs if r["event"] == "done")
-        assert "payload" in done and "result" in done["payload"]
-        queued = next(r for r in recs if r["event"] == "queued")
-        assert "fingerprint" in queued
+        assert recs[0]["schema"] == JOURNAL_SCHEMA == 2
+        # A transition log: job hashes only, no fingerprint or result.
+        for rec in recs:
+            if rec["event"] in ("queued", "done"):
+                assert set(rec) == {"seq", "event", "job"}
 
     def test_derive_run_id_content_addressed(self):
         hashes = [tiny_job(seed=s).content_hash() for s in (0, 1)]
@@ -361,52 +360,6 @@ class TestJournal:
         assert report2.run_id == report.run_id
         assert (tmp_path / f"{report.run_id}.jsonl").exists()
         assert (tmp_path / f"{report.run_id}.jsonl.1").exists()
-
-    def test_resume_replays_without_simulation(self, tmp_path):
-        jobs = [tiny_job(seed=s) for s in (0, 1)]
-        first, _ = execute_jobs(jobs, ExecutorConfig(journal_dir=tmp_path))
-        second, report = execute_jobs(
-            jobs, ExecutorConfig(journal_dir=tmp_path, resume=True)
-        )
-        assert report.resumed == 2
-        assert report.simulated == 0
-        assert canon(second) == canon(first)
-
-    def test_queued_jobs_roundtrip(self, tmp_path):
-        jobs = grid_jobs()[:4]
-        _, report = execute_jobs(jobs, ExecutorConfig(journal_dir=tmp_path))
-        loaded = RunJournal(tmp_path, report.run_id, resume=True)
-        rebuilt = loaded.queued_jobs()
-        loaded.close()
-        assert [j.content_hash() for j in rebuilt] == \
-               [j.content_hash() for j in jobs]
-
-    def test_torn_tail_tolerated_and_truncated(self, tmp_path):
-        jobs = [tiny_job()]
-        _, report = execute_jobs(jobs, ExecutorConfig(journal_dir=tmp_path))
-        path = tmp_path / f"{report.run_id}.jsonl"
-        with path.open("ab") as fh:
-            fh.write(b'{"seq": 99, "event": "do')  # crash mid-write
-        loaded = RunJournal(tmp_path, report.run_id, resume=True)
-        assert len(loaded.completed_results()) == 1
-        # Appending after recovery must not concatenate onto the torn
-        # fragment — a later load has to parse cleanly.
-        loaded.record("run-start", run_id=report.run_id)
-        loaded.close()
-        again = RunJournal(tmp_path, report.run_id, resume=True)
-        assert len(again.completed_results()) == 1
-        again.close()
-
-    def test_damage_before_tail_raises(self, tmp_path):
-        jobs = [tiny_job()]
-        _, report = execute_jobs(jobs, ExecutorConfig(journal_dir=tmp_path))
-        path = tmp_path / f"{report.run_id}.jsonl"
-        lines = path.read_bytes().splitlines(keepends=True)
-        lines[1] = b"garbage not json\n"
-        path.write_bytes(b"".join(lines))
-        with pytest.raises(ValueError, match="damaged at line 2"):
-            RunJournal(tmp_path, report.run_id, resume=True)
-
 
 # ----------------------------------------------------------------------
 # the headline invariant: chaos == fault-free, byte for byte
@@ -469,11 +422,25 @@ class TestChaosInvariant:
 
 
 # ----------------------------------------------------------------------
-# interrupt -> resume
+# interrupt -> rerun from the cache
 # ----------------------------------------------------------------------
+def assert_rerun_finishes(jobs, executor, done_before, golden) -> None:
+    """Rerunning an interrupted grid with its cache simulates exactly
+    the jobs that had not completed, and matches the golden run."""
+    results, report = execute_jobs(jobs, executor)
+    assert report.cached == done_before
+    assert report.simulated == len(jobs) - done_before
+    assert canon(results) == golden
+    again, report = execute_jobs(jobs, executor)
+    assert (report.cached, report.simulated) == (len(jobs), 0)
+    assert canon(again) == golden
+
+
 class TestInterruptResume:
     def test_interrupt_reaps_journals_and_resumes(self, tmp_path, golden):
         jobs = grid_jobs()
+        executor = ExecutorConfig(jobs=2, cache_dir=tmp_path / "cache",
+                                  journal_dir=tmp_path / "journal")
 
         def boom(_progress) -> None:
             # At the first completion the other worker's job is still
@@ -482,63 +449,34 @@ class TestInterruptResume:
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            execute_jobs(
-                jobs,
-                ExecutorConfig(jobs=2, journal_dir=tmp_path),
-                progress=boom,
-            )
+            execute_jobs(jobs, executor, progress=boom)
         assert live_worker_count() == 0  # no orphans survive Ctrl-C
 
         run_id = derive_run_id([j.content_hash() for j in jobs])
-        recs = [json.loads(line) for line in
-                (tmp_path / f"{run_id}.jsonl").read_text().splitlines()]
+        recs = [json.loads(line) for line in (
+            tmp_path / "journal" / f"{run_id}.jsonl"
+        ).read_text().splitlines()]
         events_seen = [r["event"] for r in recs]
         assert "interrupted" in events_seen  # the in-flight worker
         done_before = events_seen.count("done")
         assert 0 < done_before < len(jobs)
+        # A result reaches the cache before its progress event fires.
+        assert ResultCache(tmp_path / "cache").stats().entries == done_before
 
-        results, report = execute_jobs(
-            jobs,
-            ExecutorConfig(jobs=2, journal_dir=tmp_path, resume=True),
-        )
-        assert report.resumed == done_before
-        assert report.resumed + report.simulated == len(jobs)
-        assert canon(results) == golden
+        assert_rerun_finishes(jobs, executor, done_before, golden)
 
-        again, report2 = execute_jobs(
-            jobs, ExecutorConfig(journal_dir=tmp_path, resume=True)
-        )
-        assert report2.resumed == len(jobs)
-        assert report2.simulated == 0
-        assert canon(again) == golden
-
-    def test_resume_cli(self, tmp_path, capsys):
-        jobs = grid_jobs()[:4]
-
-        def boom(progress) -> None:
-            if progress.report.completed == 1:
-                raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            execute_jobs(jobs, ExecutorConfig(journal_dir=tmp_path),
-                         progress=boom)
-        run_id = derive_run_id([j.content_hash() for j in jobs])
-        assert exec_main(
-            ["resume", run_id, "--journal-dir", str(tmp_path)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "1 resumed" in out
-        assert "3 simulated" in out
-
-    def test_resume_cli_unknown_run(self, tmp_path, capsys):
-        assert exec_main(
-            ["resume", "feedfacedeadbeef", "--journal-dir", str(tmp_path)]
-        ) == 2
-        capsys.readouterr()
+    def test_resume_cli(self, capsys):
+        # Reruns resume from the cache; the subcommand is gone.
+        with pytest.raises(SystemExit) as excinfo:
+            exec_main(["resume", "feedfacedeadbeef"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'resume'" in capsys.readouterr().err
 
     def test_serial_interrupt_journals_in_flight_job(self, tmp_path,
-                                                     monkeypatch):
-        jobs = [tiny_job(seed=s) for s in (0, 1)]
+                                                     monkeypatch, golden):
+        jobs = grid_jobs()[:3]
+        executor = ExecutorConfig(cache_dir=tmp_path / "cache",
+                                  journal_dir=tmp_path / "journal")
         real_run = SimJob.run
         calls = 0
 
@@ -551,13 +489,17 @@ class TestInterruptResume:
 
         monkeypatch.setattr(SimJob, "run", flaky_run)
         with pytest.raises(KeyboardInterrupt):
-            execute_jobs(jobs, ExecutorConfig(journal_dir=tmp_path))
+            execute_jobs(jobs, executor)
+        assert live_worker_count() == 0
         run_id = derive_run_id([j.content_hash() for j in jobs])
-        recs = [json.loads(line) for line in
-                (tmp_path / f"{run_id}.jsonl").read_text().splitlines()]
+        recs = [json.loads(line) for line in (
+            tmp_path / "journal" / f"{run_id}.jsonl"
+        ).read_text().splitlines()]
         by_event = [r["event"] for r in recs]
         assert by_event.count("done") == 1
         assert by_event.count("interrupted") == 1
+
+        assert_rerun_finishes(jobs, executor, 1, golden[:3])
 
 
 # ----------------------------------------------------------------------

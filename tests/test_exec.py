@@ -134,13 +134,6 @@ class TestExecutorConfigValidation:
         with pytest.raises(ValueError, match="jobs"):
             cli_main(["figure", "3", "--jobs", "0"])
 
-    def test_resume_cli_rejects_zero_jobs(self, tmp_path):
-        jobs = [tiny_job()]
-        _, report = execute_jobs(jobs, ExecutorConfig(journal_dir=tmp_path))
-        with pytest.raises(ValueError, match="jobs"):
-            exec_main(["resume", report.run_id, "--journal-dir",
-                       str(tmp_path), "--jobs", "0"])
-
 
 # ----------------------------------------------------------------------
 # SimJob content hashing
@@ -339,11 +332,11 @@ class TestResultCache:
         stats = cache.stats()
         assert (stats.hits, stats.misses, stats.runs) == (4, 4, 2)
 
-    def test_journalled_runs_record_counters(self, tmp_path):
+    def test_every_cached_run_records_counters(self, tmp_path):
+        # No journal: the counters belong to the cache, not the journal.
         jobs = [SimJob(benchmarks=("parser", "vortex"), config=CFG,
                        max_insns=INSNS, seed=s) for s in (0, 1)]
-        ex = ExecutorConfig(cache_dir=tmp_path / "cache",
-                            journal_dir=tmp_path / "journal")
+        ex = ExecutorConfig(cache_dir=tmp_path / "cache")
         _, cold = execute_jobs(jobs, ex)
         runs = tmp_path / "cache" / "runs"
         rec = json.loads(
@@ -353,6 +346,12 @@ class TestResultCache:
                        "total": 2}
         stats = ResultCache(tmp_path / "cache").stats()
         assert (stats.hits, stats.misses, stats.runs) == (0, 2, 1)
+        # The warm rerun has the same content-derived run id, so its
+        # counters replace the cold run's.
+        _, warm = execute_jobs(jobs, ex)
+        assert warm.run_id == cold.run_id
+        stats = ResultCache(tmp_path / "cache").stats()
+        assert (stats.hits, stats.misses, stats.runs) == (2, 0, 1)
 
     def test_cli_stats_reports_kinds_and_counters(self, tmp_path,
                                                   executed_job, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -194,8 +195,8 @@ def test_cascade_kills_a_cycle_counter_drop_and_warm_rerun_is_free(tmp_path):
     assert _tree_hashes() == before, "mutation run modified the tree"
     out = outcomes[target.mutant_id]
     assert out["outcome"] == "killed"
-    # Dropping the master cycle counter survives the static and
-    # sanitizer layers but cannot survive a stats comparison.
+    # Dropping the master cycle counter survives the sanitizer layer
+    # but cannot survive a stats comparison.
     assert out["killed_by"] == "stats"
     assert executed > 0 and cached == 0
 
@@ -214,7 +215,7 @@ def test_cascade_kills_a_cycle_counter_drop_and_warm_rerun_is_free(tmp_path):
 def test_report_attributes_each_kill_to_exactly_one_layer():
     sites = select_sites([PIPELINE])[:3]
     outcomes = {
-        sites[0].mutant_id: {"outcome": "killed", "killed_by": "static",
+        sites[0].mutant_id: {"outcome": "killed", "killed_by": "sanitizer",
                              "detail": ""},
         sites[1].mutant_id: {"outcome": "killed", "killed_by": "timeout",
                              "detail": ""},
@@ -237,8 +238,7 @@ def test_every_layer_job_is_keyed_on_the_tree():
     def job_hash(layer: str, tree_sha: str) -> str:
         context = {
             "source_shas": {site.path: "src"}, "tree_sha": tree_sha,
-            "tests_sha": "tests", "timeout": 1.0, "pkg_root_rel": "pkg",
-            "static_base": {site.path: []}, "golden": {},
+            "tests_sha": "tests", "timeout": 1.0, "golden": {},
         }
         payload = mutate._layer_payload(layer, site, context)
         return WorkJob(entry="repro.analysis.mutate:run_layer_job",
@@ -256,6 +256,43 @@ def test_mutation_cache_round_trips_and_tolerates_corruption(tmp_path):
     path = cache._path("deadbeef")
     path.write_text("{torn", encoding="utf-8")
     assert cache.get("deadbeef") is None
+
+
+def test_mutation_cache_put_survives_a_second_writer_of_the_key(
+        tmp_path, monkeypatch):
+    """Two mutate runs sharing a store may put one key at once: a
+    second put landing inside the first one's os.replace must not
+    take the first writer's temp file."""
+    cache = MutationCache(tmp_path)
+    real_replace = os.replace
+    interleaved = []
+
+    def replace(src, dst):
+        if not interleaved:
+            interleaved.append(src)
+            cache.put("deadbeef", {"writer": 2})
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    cache.put("deadbeef", {"writer": 1})
+    assert interleaved, "the second writer never ran"
+    assert cache.get("deadbeef") == {"writer": 1}  # the last replace wins
+    assert [p.name for p in cache._path("deadbeef").parent.iterdir()] \
+        == ["deadbeef.json"]
+
+
+def test_a_stale_site_fails_the_first_layer_job():
+    """A site that no longer matches its source fails the first
+    layer's job outright; it must not fall through the sandbox to a
+    stats "crash" kill."""
+    site = next(s for s in select_sites([PIPELINE])
+                if s.path.endswith("smt_core.py"))
+    spec = dict(site.spec())
+    spec["span"] = [99999, 0, 99999, 4]
+    first = mutate._KERNELS[mutate.LAYERS[0]]
+    with pytest.raises(ValueError, match="stale mutation site"):
+        first({"layer": mutate.LAYERS[0], "mutant": spec,
+               "scenarios": [], "timeout": 5.0})
 
 
 def test_committed_mutation_baseline_matches_the_current_site_universe():
