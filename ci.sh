@@ -8,10 +8,11 @@
 #     taint, stage contracts, worker pickle safety);
 #   - a pinned 25-mutant mutation smoke;
 #   - a short fully-sanitized end-to-end simulation;
-#   - a 2-worker sweep smoke asserting the cold run stores one slot
-#     trace per mix slot and one warm-state snapshot per mix, all as
-#     uncompressed archives, the result cache serves a warm rerun in
-#     full, and `cache stats` counts that rerun's hits;
+#   - a 2-worker sweep smoke asserting the cold run forks exactly its
+#     2 workers and stores one slot trace per mix slot and one
+#     warm-state snapshot per mix, all as uncompressed archives, the
+#     result cache serves a warm rerun in full with no fork, and
+#     `cache stats` counts that rerun's hits;
 #   - a chaos smoke asserting a fault-injected sweep (worker
 #     kills/hangs, cache corruption) matches the fault-free golden run;
 #   - a perf gate that fails on a >15% cycles/s regression vs
@@ -74,6 +75,7 @@ PY
 
 echo "== parallel sweep smoke (2 workers, then warm cache) =="
 python - <<'PY'
+import os
 import tempfile
 import zipfile
 from pathlib import Path
@@ -88,6 +90,12 @@ kwargs = dict(
     schedulers=("traditional", "2op_ooo"), iq_sizes=(8, 16),
     max_insns=500, seed=0,
 )
+# Every process this one forks: the pool's workers live for the whole
+# execute_jobs call, so a fault-free run forks exactly one per worker.
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(None))
+
+
 def listing(root):
     return sorted(p.name for p in root.iterdir())
 
@@ -108,6 +116,7 @@ with tempfile.TemporaryDirectory() as cache_dir:
     snapshots = Path(cache_dir) / "warm"
     ex = ExecutorConfig(jobs=2, cache_dir=cache_dir)
     cold = run_sweep(**kwargs, executor=ex)
+    cold_forks = len(forks)
     # One stored trace per slot: 2 two-thread mixes x 2 slots.
     stored = listing(traces)
     assert len(stored) == 4 and all(n.endswith(".npz") for n in stored), (
@@ -123,6 +132,7 @@ with tempfile.TemporaryDirectory() as cache_dir:
     packed = compressed(traces) + compressed(snapshots)
     assert not packed, f"compressed store entries: {packed}"
     warm = run_sweep(**kwargs, executor=ex)
+    warm_forks = len(forks) - cold_forks
     assert listing(traces) == stored, "warm rerun changed the trace store"
     assert listing(snapshots) == warmed, "warm rerun changed the warm store"
     # Every cached run records its counters, journal or not. Both runs
@@ -133,14 +143,17 @@ with tempfile.TemporaryDirectory() as cache_dir:
     assert counters == (1, len(cold.results), 0), (
         f"cache stats (runs, hits, misses) = {counters}"
     )
+assert cold_forks == 2, f"cold run forked {cold_forks} processes, not 2"
+assert warm_forks == 0, f"warm rerun forked {warm_forks} processes"
 assert cold.exec_report.simulated == len(cold.results), "cold run not cold"
 assert warm.exec_report.simulated == 0, "warm rerun re-simulated"
 assert warm.exec_report.cached == len(cold.results), "warm rerun missed cache"
 assert warm.results == cold.results, "cache changed results"
 print(
-    f"ok: {len(cold.results)}-point grid on 2 workers stored "
-    f"{len(stored)} slot traces and {len(warmed)} warm snapshots "
-    f"uncompressed; warm rerun served {warm.exec_report.cached}/"
+    f"ok: {len(cold.results)}-point grid on {cold_forks} forked workers "
+    f"stored {len(stored)} slot traces and {len(warmed)} warm snapshots "
+    f"uncompressed; warm rerun forked none and served "
+    f"{warm.exec_report.cached}/"
     f"{warm.exec_report.total} from cache, 0 simulations; cache stats "
     f"counted {stats.hits} hits over {stats.runs} run"
 )

@@ -18,9 +18,10 @@ and both enforcement layers consume the *same* declaration:
 * :mod:`repro.analysis.flow` verifies, statically, that every attribute
   access in the stage's transitive call closure resolves to a declared
   resource (rule RPR011);
-* :mod:`repro.analysis.sanitizer` installs shadow wrappers around the
-  cached stage callables that fingerprint every *undeclared* resource
-  before and after the stage runs and raise on any mutation.
+* :mod:`repro.analysis.sanitizer` sets shadow wrappers of the stage
+  callables as attributes of the core, which fingerprint every
+  *undeclared* resource before and after the stage runs and raise on
+  any mutation.
 
 The decorator itself is free at runtime: it attaches the contract to
 the function object and returns the function unchanged, so the cycle
@@ -156,8 +157,8 @@ MUTATOR_METHODS = frozenset({
     "fill", "predict", "resolve", "can_forward", "flush_inflight",
 })
 
-#: Instance-dict stage callable -> contract stage name, in ``step()``
-#: call order. ``repro.perf`` wraps exactly these attributes with its
+#: Stage callable attribute of the core -> contract stage name, in
+#: ``step()`` call order. ``repro.perf`` wraps exactly these with its
 #: timers; the sanitizer wraps them with the contract shadow checks.
 STAGE_CALLABLES: dict[str, str] = {
     "_commit": "commit",

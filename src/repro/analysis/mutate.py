@@ -62,7 +62,6 @@ import select
 import signal
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 from time import monotonic as _monotonic  # repro: noqa[RPR001]
 
@@ -82,6 +81,7 @@ from repro.analysis.mutops import (
 from repro.exec.jobs import WorkJob, hash_payload
 from repro.exec.journal import journal_dir_from_env
 from repro.exec.pool import ExecutorConfig, execute_jobs
+from repro.util.atomic import atomic_write
 from repro.util.encoding import stable_dumps
 
 #: Oracle layers, in cascade order. ``timeout`` is not a wave of its
@@ -467,15 +467,9 @@ class MutationCache:
             return None
 
     def put(self, key: str, outcome: dict[str, object]) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # A temp name of this writer's own: two runs sharing the store
-        # may put one key at once, and neither may move the other's.
-        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
-                                   dir=path.parent)
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(stable_dumps(outcome))
-        os.replace(tmp, path)
+        # Two runs sharing the store may put one key at once.
+        blob = stable_dumps(outcome).encode("utf-8")
+        atomic_write(self._path(key), lambda fh: fh.write(blob))
 
 
 def default_mutation_cache_dir() -> Path:

@@ -173,21 +173,22 @@ class PipelineSanitizer:
 
     # ------------------------------------------------------------------
     def install_contract_checks(self) -> None:
-        """Wrap the core's cached stage callables with shadow checks of
-        the ``@stage_contract`` declarations.
+        """Wrap the core's stage callables with shadow checks of the
+        ``@stage_contract`` declarations.
 
-        Uses the same instance-dict interception as the ``repro.perf``
-        stage timers: the class methods stay untouched, each per-core
-        cached callable is replaced by a closure. On sanitizer-gated
-        cycles (``cycle % interval == 0``) the closure fingerprints every
+        Uses the same interception as the ``repro.perf`` stage timers:
+        the class methods stay untouched, and each stage gets a closure
+        set as an attribute of the core, which shadows the method
+        ``step()`` would otherwise look up. On sanitizer-gated cycles
+        (``cycle % interval == 0``) the closure fingerprints every
         resource the stage's contract does *not* declare, runs the stage,
         and raises ``SanitizerViolation("stage-contract", ...)`` if any
         undeclared resource changed. A watchdog recovery flush inside the
         stage legitimately rewrites everything, so a check observing a
         flush (``stats.watchdog_flushes`` moved) is abandoned.
 
-        Must be called after the core has cached the stage callables in
-        its instance dict (the ``SMTProcessor.__init__`` caching loop).
+        The closures refer to the core, so a sanitizing core is cyclic
+        garbage once dropped; a default core is not.
         """
         core = self.core
         for attr, stage in STAGE_CALLABLES.items():

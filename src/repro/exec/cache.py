@@ -21,10 +21,10 @@ Each entry records:
   fields, so a torn, truncated, or bit-rotted entry is *detected*, not
   silently served.
 
-Writes are atomic (write to a same-directory temp file, then
-``os.replace``), so a crashed or parallel writer can never leave a
-half-written entry behind — readers see either the old entry or the new
-one.
+Writes are atomic (:func:`~repro.util.atomic.atomic_write`: a
+same-directory temp file of the writer's own, then ``os.replace``), so
+a crashed or parallel writer can never leave a half-written entry
+behind — readers see either the old entry or the new one.
 
 Damage handling distinguishes two cases on read:
 
@@ -65,6 +65,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.metrics.ipc import SimResult
+from repro.util.atomic import atomic_write
 
 from repro.exec import tracestore
 from repro.exec.chaos import ChaosConfig
@@ -213,7 +214,6 @@ class ResultCache:
 
     def put(self, job: SimJob, payload: JobResult) -> Path:
         """Atomically persist ``payload`` under the job's content hash."""
-        self.root.mkdir(parents=True, exist_ok=True)
         key = job.content_hash()
         path = self.root / f"{key}.json"
         body = encode_job_result(payload)
@@ -228,10 +228,7 @@ class ResultCache:
         blob = json.dumps(entry, sort_keys=True, indent=1).encode("utf-8")
         if self.chaos is not None:
             blob = self.chaos.corrupt_bytes(key, blob)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
-        return path
+        return atomic_write(path, lambda fh: fh.write(blob))
 
     # ------------------------------------------------------------------
     # per-run hit/miss counters
@@ -248,18 +245,13 @@ class ResultCache:
         ids are content-derived), so warm reruns update rather than
         double-count.
         """
-        runs = self.root / "runs"
-        runs.mkdir(parents=True, exist_ok=True)
-        path = runs / f"{run_id}.json"
+        path = self.root / "runs" / f"{run_id}.json"
         blob = json.dumps(
             {"run_id": run_id, "hits": int(hits), "misses": int(misses),
              "total": int(total)},
             sort_keys=True, separators=(",", ":"),
         ).encode("utf-8")
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
-        return path
+        return atomic_write(path, lambda fh: fh.write(blob))
 
     # ------------------------------------------------------------------
     def stats(self) -> CacheStats:

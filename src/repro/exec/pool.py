@@ -9,13 +9,18 @@ driver and benchmark routes through. It
   an interrupted or warm rerun with the same ``cache_dir`` performs
   zero re-simulation of completed grid points;
 * runs the remaining jobs either in-process (``jobs=1``, a single
-  pending job, or a platform without ``fork``) or on a farm of forked
-  worker processes, scheduling **longest job first** so one straggler
-  does not serialise the tail of the grid;
+  pending job, or a platform without ``fork``) or on ``jobs`` worker
+  processes forked once for the call, which receive pickled jobs over
+  a pipe. An idle worker takes the **longest** pending job, so one
+  straggler does not serialise the tail of the grid, and prefers the
+  mix it already holds, so it reuses that mix's slot traces and warm
+  state (:class:`_Backlog`);
 * enforces a per-job wall-clock timeout, detects *hung* (no longer
   heartbeating) workers within one poll interval via a per-worker
-  heartbeat pipe, escalates ``terminate -> kill``, and retries crashed,
-  hung or timed-out workers a bounded number of times;
+  heartbeat pipe, escalates ``terminate -> kill``, and retries a job
+  whose worker crashed, hung, timed out or raised a bounded number of
+  times. The failure model is per job: a failed attempt retires its
+  worker, and the retry runs on a fresh fork;
 * appends one fsync'd record per job transition to the run journal
   (when configured), terminates children and journals the in-flight
   jobs on ``KeyboardInterrupt`` before re-raising, and reaps any
@@ -45,7 +50,7 @@ import multiprocessing
 import os
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from multiprocessing.connection import wait as _conn_wait
 from pathlib import Path
 from time import (  # repro: noqa[RPR001]
@@ -65,6 +70,7 @@ from repro.exec.ledger import (
     ProgressFn,
 )
 from repro.exec.tracestore import trace_store
+from repro.pipeline.smt_core import clear_warm_state_cache
 
 __all__ = [
     "ExecProgress",
@@ -89,6 +95,10 @@ _TERM_GRACE_SECONDS = 1.0
 #: Default heartbeat period for workers (the parent tolerates a
 #: configurable multiple of this before declaring a worker hung).
 _HEARTBEAT_SECONDS = 0.1
+
+#: How often an idle worker checks that its parent is still alive: a
+#: parent killed outright cannot send the stop message.
+_ORPHAN_POLL_SECONDS = 1.0
 
 #: Default hung-worker grace (seconds of heartbeat silence). Generous:
 #: the heartbeat thread ticks every 0.1 s regardless of how slow the
@@ -309,41 +319,156 @@ def _run_in_process(pending, cfg, ledger: JobLedger) -> None:
 # ----------------------------------------------------------------------
 # forked worker farm
 # ----------------------------------------------------------------------
-def _heartbeat_loop(conn, interval: float, stop: threading.Event) -> None:
-    """Worker-side heartbeat: tick until told to stop or the parent
-    goes away."""
+def _trace_group(job, job_hash: str) -> object:
+    """The key of the slot traces and warm state ``job`` runs on.
+
+    :class:`SimJob` grid points of one mix (benchmarks, seed, budget and
+    warmup) share both, whatever their scheduler and IQ size. Any other
+    job is a group of its own.
+    """
+    if isinstance(job, SimJob):
+        return (job.benchmarks, job.seed, job.max_insns, job.warmup)
+    return job_hash
+
+
+def _forget_traces() -> None:
+    """Drop this process's slot-trace and warm-state memos."""
+    # Imported here: the runner imports repro.exec.
+    from repro.experiments.runner import clear_slot_trace_cache
+
+    clear_slot_trace_cache()
+    clear_warm_state_cache()
+
+
+class _Backlog:
+    """Pending jobs by :func:`_trace_group`, each group longest first."""
+
+    def __init__(self, pending: Sequence[int], jobs: Sequence,
+                 hashes: Sequence[str]) -> None:
+        self._rank = {i: (-jobs[i].cost_estimate(), i) for i in pending}
+        self.group_of = {i: _trace_group(jobs[i], hashes[i])
+                         for i in pending}
+        self._groups: dict[object, list[int]] = {}
+        for idx in sorted(pending, key=self._rank.__getitem__):
+            self._groups.setdefault(self.group_of[idx], []).append(idx)
+        self._count = len(pending)
+        #: Groups one of whose jobs has finished, so the stores hold
+        #: their slot traces and warm state.
+        self._settled: set = set()
+
+    def __len__(self) -> int:
+        return self._count
+
+    def settle(self, idx: int) -> None:
+        """Job ``idx`` finished (completed, or failed for good)."""
+        self._settled.add(self.group_of[idx])
+
+    def take(self, held: object, others: set) -> int | None:
+        """Pop the next job for an idle worker holding group ``held``
+        while other workers hold ``others``; None means it waits.
+
+        The longest job of the first of these that has one: the
+        worker's own group, whose traces it holds; a group no other
+        worker holds; a group whose first job has finished, whose
+        traces it can load. Waiting otherwise keeps two workers from
+        building one mix's traces and warm state at once.
+        """
+        groups = self._groups
+        for eligible in (
+            [held] if held in groups else [],
+            [g for g in groups if g not in others],
+            [g for g in groups if g in self._settled],
+        ):
+            if eligible:
+                group = min(eligible, key=lambda g: self._rank[groups[g][0]])
+                queue = groups[group]
+                idx = queue.pop(0)
+                if not queue:
+                    del groups[group]
+                self._count -= 1
+                return idx
+        return None
+
+
+def _heartbeat_loop(conn, interval: float, stop: threading.Event,
+                    mute: threading.Event) -> None:
+    """Worker-side heartbeat: tick, except while muted, until told to
+    stop or the parent goes away."""
     try:
         while not stop.wait(interval):
-            conn.send(1)
+            if not mute.is_set():
+                conn.send(1)
     except (BrokenPipeError, OSError):  # repro: noqa[RPR007]
-        # The parent closed its end (job finished or run tearing
+        # The parent closed its end (worker retired or run tearing
         # down); nothing left to signal.
         pass
 
 
-def _worker_main(job: SimJob, job_hash: str, attempt: int, conn, hb_conn,
-                 hb_interval: float, chaos: ChaosConfig | None) -> None:
-    """Worker entry point: run one job, ship the outcome, exit.
+def _worker_main(conn, hb_conn, hb_interval: float,
+                 chaos: ChaosConfig | None) -> None:
+    """Worker entry point: run the jobs the parent sends over ``conn``
+    until it sends None, goes away, or an attempt fails.
+
+    A job arrives as ``(idx, attempt, job, job_hash)``, and its outcome
+    goes back tagged with ``(idx, attempt)``. On a job of another
+    :func:`_trace_group` than the last, the worker first drops its
+    slot-trace and warm-state memos, so it holds one mix at a time.
+    """
+    stop = threading.Event()
+    mute = threading.Event()
+    if hb_conn is not None:
+        threading.Thread(
+            target=_heartbeat_loop, args=(hb_conn, hb_interval, stop, mute),
+            daemon=True,
+        ).start()
+    parent = os.getppid()
+    held = None
+    try:
+        while True:
+            while not conn.poll(_ORPHAN_POLL_SECONDS):
+                if os.getppid() != parent:
+                    return  # the parent died without stopping us
+            task = conn.recv()
+            if task is None:
+                return
+            idx, attempt, job, job_hash = task
+            group = _trace_group(job, job_hash)
+            if held is not None and group != held:
+                _forget_traces()
+            held = group
+            if not _run_attempt(conn, idx, attempt, job, job_hash, chaos,
+                                mute):
+                return
+    except (EOFError, OSError, KeyboardInterrupt):  # repro: noqa[RPR007]
+        # The parent closed the pipe or is tearing the run down; it
+        # accounts for any job in flight.
+        pass
+    finally:
+        stop.set()
+        conn.close()
+        if hb_conn is not None:
+            hb_conn.close()
+
+
+def _run_attempt(conn, idx: int, attempt: int, job, job_hash: str,
+                 chaos: ChaosConfig | None, mute: threading.Event) -> bool:
+    """Run one attempt and send its outcome; False when it failed, which
+    retires the worker.
 
     When chaos is configured this is also where worker-side faults are
-    enacted: a hang stops the heartbeat thread (so the parent watchdog,
+    enacted: a hang mutes the heartbeat thread (so the parent watchdog,
     not the timeout, must catch it), a kill is a hard ``os._exit``
     either before or after computing, and delivery may be delayed or
     duplicated — all decided deterministically from the chaos seed.
     """
-    stop = threading.Event()
-    if hb_conn is not None:
-        threading.Thread(
-            target=_heartbeat_loop, args=(hb_conn, hb_interval, stop),
-            daemon=True,
-        ).start()
     try:
         kill_point = None
         if chaos is not None:
             kill_point = chaos.kill_point(job_hash, attempt)
             if chaos.should_hang(job_hash, attempt):
-                stop.set()  # a hung worker stops making progress
+                mute.set()  # a hung worker stops making progress
                 _sleep(chaos.hang_seconds)
+                mute.clear()
             slow = chaos.slow_delay(job_hash, attempt)
             if slow > 0.0:
                 # Heartbeat-but-slow: the beat thread keeps ticking, so
@@ -358,19 +483,16 @@ def _worker_main(job: SimJob, job_hash: str, attempt: int, conn, hb_conn,
             delay = chaos.delivery_delay(job_hash, attempt)
             if delay > 0.0:
                 _sleep(delay)
-        conn.send(("ok", payload))
+        conn.send((idx, attempt, "ok", payload))
         if chaos is not None and chaos.should_duplicate(job_hash, attempt):
-            conn.send(("ok", payload))
+            conn.send((idx, attempt, "ok", payload))
+        return True
     except BaseException as exc:  # noqa: BLE001 - serialised to parent
         try:
-            conn.send(("err", f"{type(exc).__name__}: {exc}"))
+            conn.send((idx, attempt, "err", f"{type(exc).__name__}: {exc}"))
         except Exception:  # repro: noqa[RPR007] — parent gone; exit quietly
             pass
-    finally:
-        stop.set()
-        conn.close()
-        if hb_conn is not None:
-            hb_conn.close()
+        return False
 
 
 def _reap(proc) -> None:
@@ -399,144 +521,174 @@ atexit.register(_reap_orphans)
 
 
 @dataclass(slots=True)
-class _Running:
-    idx: int
-    attempt: int
+class _Worker:
     proc: multiprocessing.process.BaseProcess
+    #: Duplex: jobs go out, tagged outcomes come back.
     conn: object
     hb: object | None
-    started: float
-    last_beat: float
-    done: bool = field(default=False)
+    #: The :func:`_trace_group` of the last job it was sent.
+    group: object = None
+    #: The job in flight and its attempt; ``idx`` is None while idle.
+    idx: int | None = None
+    attempt: int = 0
+    started: float = 0.0
+    last_beat: float = 0.0
 
 
 def _run_in_processes(pending, cfg, ledger: JobLedger) -> None:
     ctx = multiprocessing.get_context("fork")
     jobs, hashes = ledger.jobs, ledger.hashes
-    # Longest job first: dispatch the expensive grid points before the
-    # cheap ones so the final workers drain short tails, minimising
-    # makespan (classic LPT list scheduling).
-    queue = sorted(
-        pending, key=lambda i: (-jobs[i].cost_estimate(), i)
-    )
-    queue.reverse()  # pop() takes from the end
-    width = max(1, min(cfg.jobs, len(queue)))
-    running: list[_Running] = []
+    backlog = _Backlog(pending, jobs, hashes)
+    width = max(1, min(cfg.jobs, len(backlog)))
+    workers: list[_Worker] = []
     hb_interval = (min(_HEARTBEAT_SECONDS, cfg.watchdog / 4)
                    if cfg.watchdog is not None else _HEARTBEAT_SECONDS)
 
-    def _spawn(idx: int, attempt: int) -> None:
-        recv, send = ctx.Pipe(duplex=False)
+    def _spawn() -> _Worker:
+        conn, child_conn = ctx.Pipe()
         hb_recv, hb_send = (ctx.Pipe(duplex=False)
                             if cfg.watchdog is not None else (None, None))
         proc = ctx.Process(
             target=_worker_main,
-            args=(jobs[idx], hashes[idx], attempt, send, hb_send,
-                  hb_interval, cfg.chaos),
+            args=(child_conn, hb_send, hb_interval, cfg.chaos),
             daemon=True,
         )
         proc.start()
         with _LIVE_LOCK:
             _LIVE_WORKERS.add(proc)
-        send.close()  # parent keeps only the read ends
+        child_conn.close()  # parent keeps only its own ends
         if hb_send is not None:
             hb_send.close()
-        now = _monotonic()
-        running.append(_Running(
-            idx=idx, attempt=attempt, proc=proc, conn=recv, hb=hb_recv,
-            started=now, last_beat=now,
-        ))
+        worker = _Worker(proc=proc, conn=conn, hb=hb_recv)
+        workers.append(worker)
+        return worker
+
+    def _close(worker: _Worker) -> None:
+        worker.conn.close()
+        if worker.hb is not None:
+            worker.hb.close()
+
+    def _retire(worker: _Worker) -> None:
+        workers.remove(worker)
+        _close(worker)
+        _reap(worker.proc)
+
+    def _assign(worker: _Worker, idx: int, attempt: int) -> None:
+        worker.idx, worker.attempt = idx, attempt
+        worker.group = backlog.group_of[idx]
+        worker.started = worker.last_beat = _monotonic()
         ledger.start(idx, attempt)
+        try:
+            worker.conn.send((idx, attempt, jobs[idx], hashes[idx]))
+        except OSError:
+            _crashed(worker)
 
-    def _close_slot(slot: _Running, forced: bool) -> None:
-        slot.conn.close()
-        if slot.hb is not None:
-            slot.hb.close()
-        if forced:
-            _reap(slot.proc)
-        else:
-            slot.proc.join()
-            with _LIVE_LOCK:
-                _LIVE_WORKERS.discard(slot.proc)
-        running.remove(slot)
+    def _crashed(worker: _Worker) -> None:
+        worker.proc.join()
+        if worker.idx is None:
+            # Died between jobs: nothing to retry, and the loop replaces
+            # it while work remains.
+            _retire(worker)
+            return
+        _failed(worker, "worker crashed before reporting "
+                        f"(exit code {worker.proc.exitcode})")
 
-    def _finish(slot: _Running, payload: JobResult | None,
-                error: str | None, forced: bool = False) -> None:
-        _close_slot(slot, forced)
-        if payload is not None:
-            ledger.complete(slot.idx, payload)
+    def _failed(worker: _Worker, error: str) -> None:
+        # Any failed attempt retires its worker, whatever state the job
+        # left it in; a retry runs on a fresh fork.
+        idx, attempt = worker.idx, worker.attempt
+        _retire(worker)
+        if ledger.retry(idx, attempt, error):
+            _assign(_spawn(), idx, attempt + 1)
             return
-        if ledger.retry(slot.idx, slot.attempt, error):
-            _spawn(slot.idx, slot.attempt + 1)
+        backlog.settle(idx)
+        ledger.fail(idx, error)
+
+    def _deliver(worker: _Worker, message) -> None:
+        idx, attempt, kind, value = message
+        if idx != worker.idx or attempt != worker.attempt:
+            return  # a duplicate or late delivery of a resolved attempt
+        if kind != "ok":
+            _failed(worker, str(value))
             return
-        ledger.fail(slot.idx, error)
+        worker.idx = None
+        backlog.settle(idx)
+        ledger.complete(idx, value)
 
     try:
-        while queue or running:
-            while queue and len(running) < width:
-                _spawn(queue.pop(), attempt=0)
+        while backlog or any(w.idx is not None for w in workers):
+            # Fork the workers, and replace retired ones while work is
+            # left for them; in a fault-free run this forks once each.
+            busy = sum(w.idx is not None for w in workers)
+            while len(workers) < min(width, len(backlog) + busy):
+                _spawn()
+            for worker in list(workers):
+                if worker.idx is None:
+                    idx = backlog.take(
+                        worker.group,
+                        {w.group for w in workers if w is not worker},
+                    )
+                    if idx is not None:
+                        _assign(worker, idx, attempt=0)
 
-            waitable = [slot.conn for slot in running]
-            waitable += [slot.hb for slot in running if slot.hb is not None]
+            waitable = [w.conn for w in workers]
+            waitable += [w.hb for w in workers if w.hb is not None]
             ready = set(_conn_wait(waitable, timeout=_POLL_SECONDS))
             now = _monotonic()
-            for slot in list(running):
-                if slot.hb is not None and slot.hb in ready:
+            for worker in list(workers):
+                if worker.hb is not None and worker.hb in ready:
                     try:
-                        while slot.hb.poll(0):
-                            slot.hb.recv()
-                            slot.last_beat = now
+                        while worker.hb.poll(0):
+                            worker.hb.recv()
+                            worker.last_beat = now
                     except (EOFError, OSError):
-                        # Worker exited; its result pipe (EOF or data)
-                        # resolves the slot below or next poll.
-                        slot.hb.close()
-                        slot.hb = None
-                if slot.conn in ready:
+                        # Worker exited; its job pipe (EOF or data)
+                        # resolves it below or next poll.
+                        worker.hb.close()
+                        worker.hb = None
+                if worker.conn in ready:
                     try:
-                        kind, value = slot.conn.recv()
+                        message = worker.conn.recv()
                     except (EOFError, OSError):
-                        slot.proc.join()
-                        code = slot.proc.exitcode
-                        _finish(
-                            slot, None,
-                            "worker crashed before reporting "
-                            f"(exit code {code})",
-                        )
+                        _crashed(worker)
                         continue
-                    if kind == "ok":
-                        _finish(slot, value, None)
-                    else:
-                        _finish(slot, None, str(value))
+                    _deliver(worker, message)
+                elif worker.idx is None:
+                    continue
                 elif (
                     cfg.timeout is not None
-                    and now - slot.started > cfg.timeout
+                    and now - worker.started > cfg.timeout
                 ):
-                    _finish(
-                        slot, None,
-                        f"timed out after {cfg.timeout:g}s",
-                        forced=True,
-                    )
+                    _failed(worker, f"timed out after {cfg.timeout:g}s")
                 elif (
                     cfg.watchdog is not None
-                    and slot.hb is not None
-                    and now - slot.last_beat > cfg.watchdog
+                    and worker.hb is not None
+                    and now - worker.last_beat > cfg.watchdog
                 ):
-                    _finish(
-                        slot, None,
-                        "worker hung (no heartbeat for "
-                        f"{cfg.watchdog:g}s)",
-                        forced=True,
+                    _failed(
+                        worker,
+                        f"worker hung (no heartbeat for {cfg.watchdog:g}s)",
                     )
+        for worker in workers:
+            try:
+                worker.conn.send(None)
+            except OSError:  # repro: noqa[RPR007] — already gone; joined below
+                pass
+        for worker in workers:
+            _close(worker)
+            worker.proc.join()
+            with _LIVE_LOCK:
+                _LIVE_WORKERS.discard(worker.proc)
+        workers.clear()
     except BaseException:
         # Ctrl-C (or any other escape): terminate and join every child,
         # journal the in-flight jobs as interrupted, then re-raise.
         # Completed jobs are already in the cache, so a rerun with it
         # re-executes exactly the in-flight and never-started ones.
-        for slot in list(running):
-            slot.conn.close()
-            if slot.hb is not None:
-                slot.hb.close()
-            _reap(slot.proc)
-            ledger.interrupt(slot.idx, slot.attempt)
-        running.clear()
+        for worker in workers:
+            _close(worker)
+            _reap(worker.proc)
+            if worker.idx is not None:
+                ledger.interrupt(worker.idx, worker.attempt)
+        workers.clear()
         raise

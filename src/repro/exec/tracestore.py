@@ -1,11 +1,11 @@
 """Content-addressed on-disk stores of slot traces and warm state,
 beside the result cache.
 
-:mod:`repro.exec.pool` forks one process per job, so the runner's
-in-process memos of slot traces and of warm cache/predictor state die
-with each child. While :func:`~repro.exec.pool.execute_jobs` runs
-forked workers with a ``cache_dir``, the runner consults two stores
-here:
+:mod:`repro.exec.pool`'s forked workers each hold one mix at a time:
+a worker that takes up another mix drops the runner's in-process memos
+of slot traces and of warm cache/predictor state, and two workers may
+run one mix. While :func:`~repro.exec.pool.execute_jobs` runs forked
+workers with a ``cache_dir``, the runner consults two stores here:
 
 * :func:`repro.experiments.runner.thread_traces` looks a slot trace up
   in :class:`TraceStore` between its memo and the generator: a miss
@@ -49,8 +49,8 @@ Every entry also records a ``meta`` string of JSON:
 The stores are disposable. Reads use ``allow_pickle=False``, and any
 error or mismatch is a miss, as is a warm entry whose shapes do not fit
 the machine: the caller rebuilds and overwrites the entry. There is no
-quarantine. Writes are atomic (a same-directory temp file with the pid
-in its name, then ``os.replace``). This module alone knows the layout:
+quarantine. Writes are atomic (:func:`~repro.util.atomic.atomic_write`).
+This module alone knows the layout:
 the result cache's ``stats`` and ``clear`` call :func:`footprint` and
 :func:`clear`.
 """
@@ -60,7 +60,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -74,6 +73,7 @@ from repro.exec.schema import SCHEMA_VERSION, repro_version
 from repro.pipeline.smt_core import export_warm_state, import_warm_state
 from repro.trace.generator import Trace
 from repro.trace.profiles import get_profile
+from repro.util.atomic import atomic_write
 
 #: The stores' subdirectories of a cache root, by the kind ``cache
 #: stats`` reports, and their entry suffix.
@@ -140,18 +140,9 @@ def _read(path: Path, expected: dict[str, object],
 def _write(path: Path, meta: dict[str, object],
            arrays: dict[str, np.ndarray]) -> Path:
     """Atomically write one entry, replacing any at ``path``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        # A file object, not a path: np.savez would append its suffix
-        # to the temp name.
-        with open(tmp, "wb") as fh:
-            np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)),
-                     **arrays)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return path
+    meta_array = np.array(json.dumps(meta, sort_keys=True))
+    return atomic_write(path, lambda fh: np.savez(fh, meta=meta_array,
+                                                  **arrays))
 
 
 def _columns(trace: Trace) -> dict[str, np.ndarray]:

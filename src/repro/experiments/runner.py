@@ -45,9 +45,9 @@ def default_warmup(max_insns: int) -> int:
 #: ``(benchmark, occurrence, root seed, length)``. It pins every slot
 #: trace a sweep touches for the life of the process (a fairness sweep
 #: needs up to 4 slots x 12 mixes plus one solo baseline per
-#: benchmark). A forked pool worker's additions die with it; the
-#: on-disk store (:mod:`repro.exec.tracestore`) carries traces across
-#: processes.
+#: benchmark). A forked pool worker clears it whenever it takes up
+#: another mix, so it holds one mix's traces; the on-disk store
+#: (:mod:`repro.exec.tracestore`) carries traces across workers.
 _SLOT_TRACE_CACHE: dict[tuple[str, int, int, int], Trace] = {}
 _SLOT_TRACE_CACHE_MAX = 512
 
@@ -135,7 +135,8 @@ def _build_core(benchmarks: Sequence[str], config: MachineConfig,
 
 
 def clear_slot_trace_cache() -> None:
-    """Drop memoised slot traces (tests)."""
+    """Drop memoised slot traces (tests, and a pool worker taking up
+    another mix)."""
     _SLOT_TRACE_CACHE.clear()
 
 

@@ -9,9 +9,10 @@ Two passes over fresh cores of the same configuration:
 2. **Stage timers** — the six per-cycle stage callables are wrapped
    with accumulating timers, giving a commit/issue/dispatch/rename/
    fetch/events breakdown without profiler distortion. This works
-   because :class:`~repro.pipeline.smt_core.SMTProcessor` caches the
-   stage bound methods in the instance dict, so a per-instance wrapper
-   intercepts every call ``step()`` makes.
+   because :class:`~repro.pipeline.smt_core.SMTProcessor`'s ``step()``
+   looks each stage up on the core at call time, so a wrapper set as an
+   instance attribute shadows the class's method and intercepts every
+   call ``step()`` makes.
 
 Fast-forwarded (skipped) spans never enter the wrappers, so the stage
 seconds describe exactly the cycles that were actually stepped.
@@ -31,7 +32,7 @@ from repro.experiments.runner import thread_traces
 from repro.perf.bench import DEFAULT_INSNS, DEFAULT_MIX, DEFAULT_WARMUP
 from repro.pipeline.smt_core import SMTProcessor
 
-#: The per-cycle callables ``step()`` reads from the instance dict —
+#: The per-cycle callables ``step()`` looks up on the core —
 #: the same registry the stage contracts and the sanitizer shadow
 #: checks hang off, so a renamed or added stage updates all three.
 STAGE_NAMES: tuple[str, ...] = tuple(STAGE_CALLABLES)
@@ -80,7 +81,8 @@ class ProfileReport:
 
 
 def install_stage_timers(core: SMTProcessor) -> dict[str, float]:
-    """Wrap ``core``'s cached stage callables with accumulating timers.
+    """Shadow ``core``'s stage callables with accumulating timers, set
+    as instance attributes (the class's methods stay untouched).
 
     Returns a live dict (stage name -> seconds) that keeps updating as
     the core runs. The wrappers forward ``*args`` untouched, so both

@@ -46,12 +46,17 @@ from repro.isa.opcodes import OP_FU
 
 
 class FastForward:
-    """Dead-span detector and bulk-accountant for one ``SMTProcessor``."""
+    """Dead-span detector and bulk-accountant for one ``SMTProcessor``.
 
-    __slots__ = ("core", "wedge_limit", "hdi_mask", "skips", "cycles_skipped")
+    The engine keeps no reference to its core: the run loop passes the
+    core in. The core owns the engine, so a back reference would make
+    every core cyclic garbage, pinning its traces until the collector
+    runs.
+    """
 
-    def __init__(self, core, wedge_limit: int, hdi_mask: int) -> None:
-        self.core = core
+    __slots__ = ("wedge_limit", "hdi_mask", "skips", "cycles_skipped")
+
+    def __init__(self, wedge_limit: int, hdi_mask: int) -> None:
         self.wedge_limit = wedge_limit
         self.hdi_mask = hdi_mask
         #: number of successful jumps (telemetry for repro.perf).
@@ -60,35 +65,32 @@ class FastForward:
         self.cycles_skipped = 0
 
     # ------------------------------------------------------------------
-    def try_skip(self, max_cycles: int) -> int:
+    def try_skip(self, core, max_cycles: int) -> int:
         """Jump to the next actionable cycle; returns cycles skipped.
 
         Must only be called right after a zero-progress step (see module
         docstring). Returns 0 when the very next cycle could make
         progress (or a cap forbids skipping), leaving the core untouched.
         """
-        core = self.core
         if core._events_fired:
             # The step just taken applied a wakeup or completion: ready
             # bits / completed flags changed even though no progress
             # counter moved, so the next cycle may commit or dispatch.
             return 0
         cycle = core.cycle  # next cycle the run loop would step
-        target = self._next_active_cycle(cycle, max_cycles)
+        target = self._next_active_cycle(core, cycle, max_cycles)
         if target <= cycle:
             return 0
         span = target - cycle
-        self._account(cycle, span)
+        self._account(core, cycle, span)
         core.cycle = target
         self.skips += 1
         self.cycles_skipped += span
         return span
 
     # ------------------------------------------------------------------
-    def _next_active_cycle(self, cycle: int, max_cycles: int) -> int:
+    def _next_active_cycle(self, core, cycle: int, max_cycles: int) -> int:
         """Earliest cycle ≥ ``cycle`` that must be stepped for real."""
-        core = self.core
-
         # Hard caps first: cycles at which a real step has side effects
         # that bulk accounting cannot replicate.
         horizon = core._last_commit_cycle + self.wedge_limit
@@ -194,9 +196,8 @@ class FastForward:
         return target
 
     # ------------------------------------------------------------------
-    def _account(self, cycle: int, span: int) -> None:
+    def _account(self, core, cycle: int, span: int) -> None:
         """Book ``span`` dead cycles exactly as stepping each would."""
-        core = self.core
         stats = core.stats
         stats.cycles += span
         iq = core.iq

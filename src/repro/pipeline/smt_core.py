@@ -137,22 +137,22 @@ class SMTProcessor:
         #: (enforced by tests/test_fastforward.py); off exists for that
         #: equivalence check and for debugging.
         self.ff: FastForward | None = (
-            FastForward(self, _WEDGE_LIMIT, _HDI_SAMPLE_MASK)
+            FastForward(_WEDGE_LIMIT, _HDI_SAMPLE_MASK)
             if fast_forward else None
         )
-        # Cache the stage bound methods in the instance dict: step()
-        # then pays one attribute lookup per stage per cycle instead of
-        # a fresh descriptor bind. Lookup still happens at call time, so
-        # per-instance wrappers intercept: the repro.perf stage timers,
-        # the sanitizer's contract checks and the tests' observers.
-        for name in ("_commit", "_apply_events", "_issue", "_dispatch",
-                     "_rename"):
-            setattr(self, name, getattr(self, name))
+        # Nothing the core owns refers back to it: not the engine above,
+        # and no stage method is bound into the instance dict. So a
+        # finished core, with its traces, is freed by reference counting
+        # instead of waiting as cyclic garbage for a full collection.
+        # step() looks each stage up at call time, so per-instance
+        # wrappers still intercept the class's methods: the repro.perf
+        # stage timers, the sanitizer's contract checks and the tests'
+        # observers. Those do refer back, so they make a core cyclic.
         self._fetch_cycle = self.fetch_unit.fetch_cycle
         if self.sanitizer is not None:
-            # Wrap the cached stage callables with the stage-contract
-            # shadow checks (same mechanism as the perf stage timers;
-            # must run after the caching loop above).
+            # Shadow the stage methods with the stage-contract checks,
+            # as per-instance attributes (the same mechanism as the
+            # perf stage timers).
             self.sanitizer.install_contract_checks()
         # Warm caches and predictors, memoised per process.
         self._warm_start(traces, warmup)
@@ -845,7 +845,7 @@ class SMTProcessor:
                 if not alive:
                     break
             elif ff is not None:
-                ff.try_skip(max_cycles)
+                ff.try_skip(self, max_cycles)
         self._finalize()
         return self.stats
 
@@ -1030,10 +1030,10 @@ def _unflatten(entries: list, ways: list[int],
 #: everything ``_install_residency`` and ``_warm_up`` read. The scheduler
 #: and IQ size are not in the key, and the runner's slot-trace memo hands
 #: every grid point of a mix the same trace objects, so a sweep warms
-#: each mix once per process. A forked pool worker starts from the
-#: parent's (usually empty) memo; when the pool has a ``cache_dir``, the
-#: runner imports the mix's stored snapshot before building the core
-#: and stores the state of a cold build
+#: each mix once per process. A forked pool worker clears it with the
+#: trace memo whenever it takes up another mix; with a ``cache_dir``,
+#: the runner imports the mix's stored snapshot before building the
+#: core and stores the state of a cold build
 #: (:mod:`repro.exec.tracestore`), so each mix is warmed once per cache.
 #: FIFO eviction.
 _WARM_STATE: dict[tuple, _WarmState] = {}
@@ -1079,6 +1079,7 @@ def import_warm_state(cfg: MachineConfig, traces: list[Trace], warmup: int,
 
 
 def clear_warm_state_cache() -> None:
-    """Drop memoised warm state (tests)."""
+    """Drop memoised warm state (tests, and a pool worker taking up
+    another mix)."""
     with _WARM_STATE_LOCK:
         _WARM_STATE.clear()

@@ -2,18 +2,22 @@
 
 Covers the determinism guarantee (jobs=1 vs jobs=4 byte-identical over
 a >= 12-point grid), every cache path (hit / miss / corrupt entry /
-schema mismatch), worker-crash retry and per-job timeout, content-hash
-stability, input validation at job and executor-config construction,
-the live-worker registry's lock, and the slot-trace memoisation in the
-runner.
+schema mismatch / a second writer of one key), worker-crash retry and
+per-job timeout, content-hash stability, the pickle trip jobs take to
+a worker, input validation at job and executor-config construction,
+the worker model (one fork per worker, one more per failed attempt,
+the order idle workers take jobs in), the live-worker registry's lock,
+and the slot-trace memoisation in the runner.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -23,10 +27,13 @@ from repro.exec import (
     SCHEMA_VERSION,
     ExecutionError,
     ExecutorConfig,
+    ChaosConfig,
     ResultCache,
     SimJob,
+    WorkJob,
     execute_jobs,
     jobs_for_grid,
+    live_worker_count,
 )
 from repro.exec.__main__ import main as exec_main
 from repro.exec.jobs import hash_payload
@@ -66,6 +73,28 @@ def forged_bad_job() -> SimJob:
     job = tiny_job()
     object.__setattr__(job, "benchmarks", ("no_such_benchmark",))
     return job
+
+
+def fail_once(payload):
+    """WorkJob entry: raises on the first call for its marker file,
+    succeeds on every later one, in whichever process."""
+    marker = Path(payload["marker"])
+    if not marker.exists():
+        marker.touch()
+        raise RuntimeError("first attempt fails")
+    return {"marker": payload["marker"]}
+
+
+#: Processes this one has forked since this module was imported.
+_FORKS: list[None] = []
+os.register_at_fork(after_in_parent=lambda: _FORKS.append(None))
+
+
+def forks_during(fn):
+    """``(fn(), how many processes this process forked meanwhile)``."""
+    before = len(_FORKS)
+    out = fn()
+    return out, len(_FORKS) - before
 
 
 # ----------------------------------------------------------------------
@@ -179,6 +208,18 @@ class TestSimJobHash:
         assert hash_payload(reordered) == hash_payload(payload)
         assert hash_payload(payload) == tiny_job().content_hash()
 
+    @pytest.mark.parametrize("job", [
+        tiny_job(warmup=100, with_fairness=True),
+        WorkJob(entry="tests.test_exec:fail_once",
+                payload={"marker": "m", "nested": {"k": [1, 2]}},
+                cost=5, kind="probe"),
+    ], ids=["simjob", "workjob"])
+    def test_jobs_survive_the_pickle_trip_to_a_worker(self, job):
+        # Pool workers receive their jobs pickled over a pipe.
+        back = pickle.loads(pickle.dumps(job))
+        assert back == job
+        assert back.content_hash() == job.content_hash()
+
     def test_longest_job_first_cost_ordering(self):
         two = tiny_job()
         four = SimJob(benchmarks=("parser", "vortex", "gcc", "gzip"),
@@ -254,6 +295,41 @@ class TestResultCache:
         entry["key"] = "0" * 64
         path.write_text(json.dumps(entry), encoding="utf-8")
         assert cache.get(job) is None
+
+    def test_put_survives_a_second_writer_of_the_key(self, tmp_path,
+                                                     executed_job,
+                                                     monkeypatch):
+        """Two execute_jobs calls on threads sharing a cache may put one
+        key at once: a second put landing inside the first one's
+        os.replace must not take the first writer's temp file."""
+        job, payload = executed_job
+        cache = ResultCache(tmp_path)
+        real_replace = os.replace
+        interleaved = []
+
+        def replace(src, dst):
+            if not interleaved:
+                interleaved.append(src)
+                cache.put(job, payload)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        path = cache.put(job, payload)
+        assert interleaved, "the second writer never ran"
+        assert cache.get(job).result == payload.result
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_failed_put_leaves_no_temp_file(self, tmp_path, executed_job,
+                                            monkeypatch):
+        job, payload = executed_job
+
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            ResultCache(tmp_path).put(job, payload)
+        assert list(tmp_path.iterdir()) == []
 
     def test_stats_and_clear(self, tmp_path, executed_job):
         job, payload = executed_job
@@ -468,6 +544,67 @@ class TestExecuteJobs:
         assert str(ex.cache_dir) == str(tmp_path)
         monkeypatch.setenv("REPRO_CACHE", "0")
         assert ExecutorConfig.from_env(default_cache=True).cache_dir is None
+
+
+# ----------------------------------------------------------------------
+# the worker model: forks, failures, the order jobs are taken in
+# ----------------------------------------------------------------------
+class TestWorkerModel:
+    def test_fault_free_batch_forks_one_process_per_worker(self, tmp_path):
+        jobs = grid_jobs()
+        (results, report), forks = forks_during(lambda: execute_jobs(
+            jobs, ExecutorConfig(jobs=2, cache_dir=tmp_path)))
+        assert report.simulated == len(jobs) > 2
+        assert forks == 2
+        assert live_worker_count() == 0
+        serial, _ = execute_jobs(jobs, ExecutorConfig(jobs=1))
+        assert [p.result for p in results] == [p.result for p in serial]
+
+    def test_each_crashed_attempt_forks_one_fresh_worker(self):
+        jobs = grid_jobs()
+        hashes = [j.content_hash() for j in jobs]
+        seed = next(s for s in range(200) if sum(
+            ChaosConfig(seed=s, kill_p=0.3).should_kill(h, 0)
+            for h in hashes) >= 2)
+        chaos = ChaosConfig(seed=seed, kill_p=0.3)
+        (_, report), forks = forks_during(lambda: execute_jobs(
+            jobs, ExecutorConfig(jobs=2, retries=8, chaos=chaos)))
+        assert report.failed == 0
+        assert report.retried >= 2
+        assert forks == 2 + report.retried
+        assert live_worker_count() == 0
+
+    def test_each_raised_attempt_forks_one_fresh_worker(self, tmp_path):
+        jobs = [WorkJob(entry="tests.test_exec:fail_once",
+                        payload={"marker": str(tmp_path / name)})
+                for name in ("a", "b", "c", "d")]
+        jobs[1] = WorkJob(entry="tests.test_workjob:double",
+                          payload={"x": 1})
+        (results, report), forks = forks_during(lambda: execute_jobs(
+            jobs, ExecutorConfig(jobs=2, retries=1)))
+        assert (report.retried, report.failed) == (3, 0)
+        assert forks == 2 + 3
+        assert results[1] == {"doubled": 2}
+        assert live_worker_count() == 0
+
+    def test_idle_worker_takes_its_group_then_unheld_then_settled(self):
+        # Grid order is mix-innermost: mix m's jobs are m, m+3, m+6, m+9,
+        # and all twelve cost the same, so the lowest index is longest.
+        jobs = grid_jobs()
+        backlog = pool_mod._Backlog(
+            range(len(jobs)), jobs, [j.content_hash() for j in jobs])
+        g0, g1, g2 = (backlog.group_of[i] for i in range(3))
+        assert len({g0, g1, g2}) == 3
+        assert backlog.take(None, set()) == 0
+        assert backlog.take(None, {g0}) == 1        # a group nobody holds
+        assert backlog.take(g0, {g1}) == 3          # its own group first
+        assert backlog.take(None, {g0, g1}) == 2
+        # Every group is held, and none has a finished job whose traces
+        # another worker could load: wait.
+        assert backlog.take(None, {g0, g1, g2}) is None
+        backlog.settle(0)
+        assert backlog.take(None, {g0, g1, g2}) == 6
+        assert len(backlog) == len(jobs) - 5
 
 
 # ----------------------------------------------------------------------

@@ -94,16 +94,16 @@ class _SpyFF(FastForward):
 
     __slots__ = ("landings",)
 
-    def __init__(self, core, wedge_limit, hdi_mask):
-        super().__init__(core, wedge_limit, hdi_mask)
+    def __init__(self, wedge_limit, hdi_mask):
+        super().__init__(wedge_limit, hdi_mask)
         self.landings = []
 
-    def try_skip(self, max_cycles):
-        span = super().try_skip(max_cycles)
+    def try_skip(self, core, max_cycles):
+        span = super().try_skip(core, max_cycles)
         if span:
-            watchdog = self.core.watchdog
+            watchdog = core.watchdog
             self.landings.append(
-                (self.core.cycle,
+                (core.cycle,
                  None if watchdog is None else watchdog.remaining)
             )
         return span
@@ -131,7 +131,7 @@ class TestWatchdogExpiryEdge:
     def test_skip_lands_exactly_on_expiry_cycle(self):
         cfg = self._cfg()
         core = SMTProcessor(cfg, [self._wedging_trace()])
-        core.ff = _SpyFF(core, 250_000, 15)
+        core.ff = _SpyFF(250_000, 15)
         stats = core.run(1000)
         assert stats.watchdog_flushes > 0
         assert core.ff.skips > 0

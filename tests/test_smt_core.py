@@ -1,8 +1,12 @@
 """Cycle-accurate behaviour tests of the SMT core on hand-built traces."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.config.presets import small_machine, tiny_machine
+from repro.config.presets import paper_machine, small_machine, tiny_machine
+from repro.experiments.runner import thread_traces
 from repro.isa.opcodes import OpClass
 import repro.pipeline.smt_core as smt_core
 from repro.pipeline.smt_core import SMTProcessor, clear_warm_state_cache
@@ -409,6 +413,26 @@ class TestInvariants:
         assert stats.fetched >= stats.renamed >= stats.committed_total
         assert stats.issued >= stats.committed_total
         assert stats.committed_total == len(trace.op)
+
+    @pytest.mark.parametrize("sched", ["traditional", "2op_block",
+                                       "2op_ooo"])
+    def test_finished_core_is_freed_by_reference_counting(self, sched):
+        """Nothing a default core owns refers back to it, so dropping
+        the last reference frees it, and its traces with it, without
+        the cyclic collector: a pool worker that moves on to the next
+        mix does not keep the last one's traces alive."""
+        traces = thread_traces(["parser", "vortex"], 500, 0, 1000)
+        gc.disable()
+        try:
+            core = SMTProcessor(paper_machine(scheduler=sched), traces,
+                                warmup=1000)
+            assert core.ff is not None
+            core.run(500)
+            ref = weakref.ref(core)
+            del core
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestWarmStateMemo:

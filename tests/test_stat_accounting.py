@@ -5,7 +5,9 @@ Each test here kills specific mutants that survived the first full
 that keep the simulator running and the headline stats digests
 (cycles/committed/extras) well-formed while silently corrupting the
 secondary counters the paper's stall-attribution figures are built
-from. See docs/analysis.md, "Baseline and survivor triage".
+from. See docs/analysis.md, "Baseline and survivor triage". Little's
+law on the issue queue, a conservation law over the same counters,
+is pinned here too.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.config.presets import small_machine
+from repro.config.presets import paper_machine, small_machine
+from repro.experiments.runner import thread_traces
 from repro.isa.opcodes import OP_INTERVAL, OpClass
 from repro.pipeline.fu import FunctionalUnitPool
 from repro.pipeline.lsq import LoadStoreQueue
@@ -40,6 +43,37 @@ def mixed_trace(n=300):
         else:
             tb.branch(src1=1 + (i % 6))
     return tb.build()
+
+
+# ----------------------------------------------------------------------
+# conservation: Little's law on the issue queue
+# ----------------------------------------------------------------------
+class TestLittlesLaw:
+    @pytest.mark.parametrize("ff", [True, False], ids=["ff", "no-ff"])
+    @pytest.mark.parametrize("sched", ["traditional", "2op_block",
+                                       "2op_ooo"])
+    @pytest.mark.parametrize("mix", [
+        ("parser", "vortex"), ("mcf", "gcc", "art", "equake"),
+    ], ids=["2T", "4T"])
+    def test_occupancy_integral_is_residency_plus_time_still_queued(
+            self, mix, sched, ff):
+        """Summed over cycles, the IQ's occupancy equals the residency
+        of every IQ issue plus the time the entries still in the IQ
+        have waited so far: each entry is counted once per cycle it
+        holds, whichever stage, fast-forward span or DAB rescue ends
+        its stay."""
+        traces = thread_traces(list(mix), 4000, 0, 2000)
+        core = SMTProcessor(paper_machine(scheduler=sched, iq_size=32),
+                            traces, warmup=2000, fast_forward=ff)
+        stats = core.run(4000)
+        queued = sum(core.cycle - instr.dispatch_cycle
+                     for ts in core.threads for instr in ts.rob
+                     if instr.in_iq)
+        assert queued > 0
+        assert stats.iq_occupancy_integral == (stats.iq_residency_sum
+                                               + queued)
+        if sched == "2op_ooo" and len(mix) == 4:
+            assert stats.dab_issues > 0  # DAB issues are covered
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import os
 import zipfile
 
 import numpy as np
@@ -149,6 +150,28 @@ def compress_types(archive) -> set[int]:
     """The ``zipfile`` compression methods of an archive's members."""
     with zipfile.ZipFile(archive) as zf:
         return {info.compress_type for info in zf.infolist()}
+
+
+def test_put_survives_a_second_writer_of_the_key(tmp_path, monkeypatch):
+    """Two pools sharing a cache may store one slot trace at once: a
+    second put landing inside the first one's os.replace must not take
+    the first writer's temp file."""
+    store = TraceStore(tmp_path)
+    trace = generate_trace("gcc", 300, 1)
+    real_replace = os.replace
+    interleaved = []
+
+    def replace(src, dst):
+        if not interleaved:
+            interleaved.append(src)
+            store.put(trace)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    path = store.put(trace)
+    assert interleaved, "the second writer never ran"
+    assert_same_trace(store.get(trace.name, len(trace), trace.seed), trace)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_both_stores_write_uncompressed_archives(stored, tmp_path):
@@ -294,3 +317,26 @@ def test_cold_pool_generates_each_slot_trace_once(tmp_path,
     assert all(p.suffix == ".npz" for p in stored)
     kinds = {k: n for k, n, _ in ResultCache(cache_dir).stats().by_kind}
     assert kinds == {"sim": len(jobs), "trace": 6, "warm": 3}
+
+
+def test_pool_worker_keeps_its_mix_across_jobs(tmp_path, monkeypatch):
+    """A worker keeps the slot traces of the mix it holds, and takes up
+    each mix at most once: 2 workers x 3 mixes x 2 slots bound the
+    store lookups of 12 jobs, where a fresh process per job makes 24."""
+    log = tmp_path / "lookups.log"
+    log.touch()
+    get = TraceStore.get
+
+    def counted(self, name, length, seed):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{name} {seed}\n")
+        return get(self, name, length, seed)
+
+    monkeypatch.setattr(TraceStore, "get", counted)
+    jobs = grid_jobs()
+    _, report = execute_jobs(
+        jobs, ExecutorConfig(jobs=2, cache_dir=tmp_path / "cache")
+    )
+    assert report.simulated == len(jobs) == 12
+    lookups = log.read_text(encoding="utf-8").splitlines()
+    assert 6 <= len(lookups) <= 2 * 3 * 2
