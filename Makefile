@@ -3,7 +3,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test lint flow check-fast mutate mutate-smoke sanitize-smoke \
+.PHONY: test lint check-fast mutate mutate-smoke sanitize-smoke \
 	bench-sanitizer figures figures-parallel cache-clear cache-verify \
 	chaos-smoke profile perf-bench \
 	perf-gate ci
@@ -19,23 +19,13 @@ lint:
 	fi
 	python -m repro.analysis lint src/repro benchmarks
 
-# Whole-program pass: call-graph hotness (RPR009), determinism taint
-# (RPR010), stage access contracts (RPR011), worker pickle safety
-# (RPR012). Accepted legacy findings live in results/flow_baseline.json;
-# refresh deliberately with:
-#   python -m repro.analysis flow src/repro --update-baseline
-flow:
-	python -m repro.analysis flow src/repro
-
-# Pre-push fast path: the two static passes narrowed to findings in
-# files changed versus main (the whole program is still analysed —
-# closures need every module — only reporting narrows).
+# Pre-push fast path: the lint pass narrowed to findings in files
+# changed versus main.
 check-fast:
 	python -m repro.analysis lint src/repro benchmarks --changed-only
-	python -m repro.analysis flow src/repro --changed-only
 
-# Full mutation run over the pipeline hot/contract closure: every
-# operator at every site, pushed through the sanitizer → stats →
+# Full mutation run over the pipeline functions in mutate.TARGETS:
+# every operator at every site, pushed through the sanitizer → stats →
 # tests oracle cascade (docs/analysis.md). Slow (minutes);
 # cached outcomes make re-runs cheap. Gate against
 # results/mutation_baseline.json; refresh deliberately with:

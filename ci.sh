@@ -4,8 +4,6 @@
 #   - the end-to-end benchmark's tests at smoke scale, which check the
 #     golden result digests (benchmarks/e2e);
 #   - lint: ruff (when installed) and the repro.analysis pass;
-#   - whole-program flow analysis (call-graph hotness, determinism
-#     taint, stage contracts, worker pickle safety);
 #   - a pinned 25-mutant mutation smoke;
 #   - a short fully-sanitized end-to-end simulation;
 #   - a 2-worker sweep smoke asserting the cold run forks exactly its
@@ -38,17 +36,11 @@ fi
 echo "== lint: repro.analysis (simulator-specific rules) =="
 python -m repro.analysis lint src/repro benchmarks
 
-echo "== flow: repro.analysis (whole-program rules RPR009-RPR012) =="
-# Interprocedural pass: transitive hot closure, determinism taint,
-# stage access contracts, worker pickle safety. Accepted findings are
-# pinned in results/flow_baseline.json (picked up automatically).
-python -m repro.analysis flow src/repro
-
 echo "== mutation smoke (pinned 25-mutant sample, 2 workers) =="
-# Measures the detection power of everything above: a deterministic
+# Measures the detection power of the runtime oracles: a deterministic
 # sample of microarchitecture-aware mutants injected into the pipeline
-# hot closure, each of which must be killed by the sanitizer → stats
-# → tests cascade or explicitly allowlisted in
+# functions that mutate.TARGETS lists, each of which must be killed by
+# the sanitizer → stats → tests cascade or explicitly allowlisted in
 # results/mutation_baseline.json (docs/analysis.md).
 python -m repro.analysis mutate src/repro/pipeline \
     --sample 25 --seed 2006 --jobs 2 --require-all-killed

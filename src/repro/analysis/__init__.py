@@ -9,15 +9,9 @@ deadlock-avoidance buffer guarantees forward progress):
   simulator-specific rules (``python -m repro.analysis lint src/repro``),
   each with an error code, ``# repro: noqa[CODE]`` suppression and a
   machine-readable ``--json`` output;
-* :mod:`repro.analysis.flow` — a whole-program pass over the same tree
-  (``python -m repro.analysis flow src/repro``) that builds a project
-  call graph and checks the *interprocedural* rules: transitive hot
-  closure (RPR009), determinism taint (RPR010), stage access contracts
-  (RPR011) and worker fork/pickle safety (RPR012);
 * :mod:`repro.analysis.contracts` — the ``@stage_contract`` declarations
   naming which architectural state each pipeline stage may read and
-  write, consumed by the flow pass statically and the sanitizer
-  dynamically;
+  write, enforced by the sanitizer;
 * :mod:`repro.analysis.sanitizer` — a runtime pipeline sanitizer that,
   when enabled via ``MachineConfig.sanitize=True``, re-validates the
   microarchitectural invariants every ``sanitize_interval`` cycles inside

@@ -1,15 +1,13 @@
-"""Constants and CLI plumbing shared by the static-analysis passes.
+"""Constants and CLI plumbing shared by the analysis tools.
 
-The lint (per-file), flow (whole-program) and mutate (dynamic mutation
-analysis) passes must agree on what counts as "the core cycle loop",
-which packages constitute *simulation code* (where determinism is load-
-bearing), and which library entry points read wall-clock time or
-entropy. They also share command-line plumbing: file discovery,
+The lint pass's vocabulary lives here: which files are the core cycle
+loop, and which library entry points read wall-clock time or entropy.
+So does the command-line plumbing: file discovery,
 ``--select``/``--ignore`` rule filtering, ``--changed-only`` discovery
 of files changed against the git merge-base, and the exit-code
-vocabulary of the baseline-gated tools. Keeping all of it here —
-dependency-free — lets the passes import it without pulling in each
-other.
+vocabulary that ``lint``, ``mutate`` and ``python -m repro.perf gate``
+share. The module is dependency-free, so each tool imports it without
+pulling in the others.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import sys
 from pathlib import Path
 
 #: Exit-code vocabulary shared by every baseline-gated CLI
-#: (``lint``/``flow``/``mutate``/``perf gate``): 0 clean, 1 regression
+#: (``lint``/``mutate``/``perf gate``): 0 clean, 1 regression
 #: (new findings / surviving mutants / slower than the blessed number),
 #: 2 usage error, 3 *stale baseline* (the committed baseline records
 #: findings that no longer occur — refresh it with the printed
@@ -30,36 +28,15 @@ EXIT_USAGE = 2
 EXIT_STALE_BASELINE = 3
 
 #: Files (path suffixes) that *are* the core cycle loop. RPR004 allows
-#: cross-thread state mutation only here, and RPR010 treats them as
-#: simulation code regardless of their package. ``fastforward.py``
-#: bulk-mutates thread state (watchdog countdowns, stall attribution)
-#: while skipping idle spans, so it is part of the loop by construction.
+#: cross-thread state mutation only here. ``fastforward.py`` bulk-mutates
+#: thread state (watchdog countdowns, stall attribution) while skipping
+#: idle spans, so it is part of the loop by construction.
 CYCLE_LOOP_FILES: tuple[str, ...] = (
     "pipeline/smt_core.py",
     "pipeline/fastforward.py",
 )
 
-#: Top-level ``repro`` sub-packages whose code determines simulated
-#: outcomes. The RPR010 taint pass flags any call edge from these into
-#: a wall-clock/entropy-tainted helper; infrastructure packages (exec,
-#: perf, analysis, util) legitimately read the clock for timeouts and
-#: timers and are excluded.
-SIM_PACKAGES: tuple[str, ...] = (
-    "pipeline",
-    "core",
-    "rename",
-    "frontend",
-    "memory",
-    "branch",
-    "isa",
-    "trace",
-    "workloads",
-    "metrics",
-    "config",
-)
-
-#: Wall-clock entry points flagged by RPR001 when called, and seeding
-#: the RPR010 determinism taint.
+#: Wall-clock entry points flagged by RPR001 when called.
 WALLCLOCK_CALLS = frozenset({
     "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
     "time.perf_counter", "time.perf_counter_ns", "time.process_time",
@@ -72,10 +49,6 @@ WALLCLOCK_CALLS = frozenset({
 ENTROPY_CALLS = frozenset({
     "os.urandom", "uuid.uuid4",
 })
-
-#: Everything that seeds the RPR010 determinism taint (the bare
-#: ``random`` module is matched by prefix, not listed here).
-TAINT_SOURCE_CALLS = WALLCLOCK_CALLS | ENTROPY_CALLS
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Pipeline stage access contracts (the RPR011 declaration layer).
+"""Pipeline stage access contracts.
 
 The paper's correctness argument for out-of-order dispatch (§4) is an
 argument about *state ownership*: renaming and ROB/LSQ allocation stay
@@ -13,15 +13,10 @@ one machine-readable declaration per stage::
     def _commit(self, cycle):  # repro: hot
         ...
 
-and both enforcement layers consume the *same* declaration:
-
-* :mod:`repro.analysis.flow` verifies, statically, that every attribute
-  access in the stage's transitive call closure resolves to a declared
-  resource (rule RPR011);
-* :mod:`repro.analysis.sanitizer` sets shadow wrappers of the stage
-  callables as attributes of the core, which fingerprint every
-  *undeclared* resource before and after the stage runs and raise on
-  any mutation.
+:mod:`repro.analysis.sanitizer` enforces it: on sanitized cycles it
+sets shadow wrappers of the stage callables as attributes of the core,
+which fingerprint every *undeclared* resource before and after the
+stage runs and raise on any mutation.
 
 The decorator itself is free at runtime: it attaches the contract to
 the function object and returns the function unchanged, so the cycle
@@ -58,104 +53,6 @@ RESOURCES: dict[str, str] = {
     "core": "SMTProcessor bookkeeping (seq, cycle, rotations, widths)",
     "config": "frozen MachineConfig knobs",
 }
-
-#: Attribute name -> resource. The static pass resolves an attribute
-#: chain by scanning its parts left to right and keeping the *last*
-#: anchor seen (``ts.rob._entries`` -> rob; ``dones[i].completed`` ->
-#: instr), so aggregates hand off to their parts naturally. ``stats``
-#: is terminal: ``stats.committed`` is a stats counter, not thread
-#: state, so scanning stops there.
-ANCHOR_ATTRS: dict[str, str] = {
-    # issue queue
-    "iq": "iq", "ready_heap": "iq", "waiting": "iq", "occupancy": "iq",
-    "occupancy_integral": "iq", "free_slots": "iq",
-    # ready bits (shared array, aliased by the IQ as _ready_bits)
-    "ready": "ready", "_ready_bits": "ready",
-    # ROB / LSQ
-    "rob": "rob", "_entries": "rob",
-    "lsq": "lsq", "_stores": "lsq",
-    # rename state
-    "maps": "map_table", "_map": "map_table",
-    "int_free": "free_list", "fp_free": "free_list", "_free": "free_list",
-    "_base": "free_list",
-    # execution resources
-    "fu": "fu", "_units": "fu", "issued_per_class": "fu",
-    "dab": "dab", "entries": "dab",
-    "watchdog": "watchdog",
-    "_wake_events": "events", "_done_events": "events",
-    # per-thread state
-    "threads": "thread", "trace": "thread", "trace_len": "thread",
-    "fetch_idx": "thread", "pipe": "thread", "pipe_capacity": "thread",
-    "dispatch_buffer": "thread", "icount": "thread",
-    "stalled_until": "thread", "wait_branch": "thread",
-    "blocked_2op": "thread", "committed": "thread",
-    "pending_long_misses": "thread",
-    # predictors and memory
-    "predictor": "predictor", "gshare": "predictor", "btb": "predictor",
-    "hierarchy": "memory", "l1i": "memory", "l1d": "memory", "l2": "memory",
-    # statistics (terminal — see above)
-    "stats": "stats",
-    # core bookkeeping
-    "cycle": "core", "_seq": "core", "_last_commit_cycle": "core",
-    "_events_fired": "core", "_rotations": "core", "_nrot": "core",
-    "policy": "core", "fetch_unit": "core",
-    "cfg": "config",
-    # in-flight instruction fields (every DynInstr slot)
-    "tid": "instr", "seq": "instr", "tseq": "instr", "op": "instr",
-    "pc": "instr", "addr": "instr", "taken": "instr", "target": "instr",
-    "dest_l": "instr", "src1_l": "instr", "src2_l": "instr",
-    "is_load": "instr", "is_store": "instr", "is_branch": "instr",
-    "prediction": "instr", "mispredicted": "instr",
-    "dest_p": "instr", "old_dest_p": "instr", "src1_p": "instr",
-    "src2_p": "instr", "in_iq": "instr", "in_dab": "instr",
-    "num_waiting": "instr", "issued": "instr", "completed": "instr",
-    "was_ndi_blocked": "instr", "ooo_dispatched": "instr",
-    "skipped_ndis": "instr", "ndi_dependent": "instr",
-    "fetch_cycle": "instr", "rename_cycle": "instr",
-    "dispatch_cycle": "instr", "issue_cycle": "instr",
-    "complete_cycle": "instr", "forwarded": "instr", "long_miss": "instr",
-}
-
-#: Resources at which chain scanning stops (their attributes are leaf
-#: counters, never hand-offs to another structure).
-TERMINAL_RESOURCES = frozenset({"stats"})
-
-#: Fallback: methods of these classes operate on this resource when an
-#: attribute chain rooted at ``self`` hits no anchor.
-CLASS_RESOURCES: dict[str, str] = {
-    "SMTProcessor": "core",
-    "IssueQueue": "iq",
-    "ReorderBuffer": "rob",
-    "LoadStoreQueue": "lsq",
-    "RenameMapTable": "map_table",
-    "FreeList": "free_list",
-    "RenameUnit": "core",
-    "FunctionalUnitPool": "fu",
-    "DeadlockAvoidanceBuffer": "dab",
-    "WatchdogTimer": "watchdog",
-    "ThreadState": "thread",
-    "ThreadPredictor": "predictor",
-    "GShare": "predictor",
-    "BranchTargetBuffer": "predictor",
-    "MemoryHierarchy": "memory",
-    "SetAssociativeCache": "memory",
-    "FetchUnit": "config",
-}
-
-#: Method names that mutate their receiver: a call ``<chain>.m(...)``
-#: with ``m`` here is a *write* to the chain's resource. Project
-#: methods with observable side effects on their object are listed
-#: alongside the stdlib container vocabulary.
-MUTATOR_METHODS = frozenset({
-    # stdlib containers
-    "append", "appendleft", "extend", "insert", "pop", "popleft",
-    "remove", "clear", "add", "discard", "update", "setdefault",
-    "sort", "reverse",
-    # project structures
-    "insert_slice", "allocate", "release", "reset", "wakeup", "tick",
-    "note_dispatch", "try_claim", "access", "access_data", "access_inst",
-    "fill", "predict", "resolve", "can_forward", "flush_inflight",
-})
 
 #: Stage callable attribute of the core -> contract stage name, in
 #: ``step()`` call order. ``repro.perf`` wraps exactly these with its

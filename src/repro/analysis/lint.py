@@ -46,14 +46,10 @@ A violation on line ``L`` is suppressed by a trailing
 that line; a bare ``# repro: noqa`` suppresses every rule on the line.
 ``RPR000`` reports files that fail to parse and cannot be suppressed.
 
-The whole-program rules RPR009-RPR012 live in
-:mod:`repro.analysis.flow` and run as the ``flow`` subcommand.
-
 Usage::
 
     python -m repro.analysis lint src/repro           # human output
     python -m repro.analysis lint src/repro --json    # machine output
-    python -m repro.analysis flow src/repro           # whole-program
 
 Exit status is 0 when clean and 1 when any violation is reported.
 """
@@ -111,7 +107,7 @@ _DIRECT_SIM_CALLS = frozenset({
 })
 
 #: Wall-clock / entropy entry points flagged by RPR001 when called
-#: (shared with the RPR010 taint pass; see repro.analysis.common).
+#: (see repro.analysis.common).
 _WALLCLOCK_CALLS = WALLCLOCK_CALLS
 _ENTROPY_CALLS = ENTROPY_CALLS
 
@@ -198,8 +194,7 @@ def is_hot_def(node: ast.FunctionDef | ast.AsyncFunctionDef,
 
     The marker trails the ``def`` line or, for wrapped signatures, the
     closing line of the argument list — both sit strictly before the
-    first body statement. Shared with the flow pass, which seeds its
-    transitive hot closure (RPR009) from the same marker.
+    first body statement.
     """
     if not hot_lines:
         return False
@@ -210,8 +205,7 @@ def is_hot_def(node: ast.FunctionDef | ast.AsyncFunctionDef,
 
 def iter_container_allocations(node: ast.FunctionDef | ast.AsyncFunctionDef):
     """Yield ``(ast_node, kind)`` for each container allocation in the
-    body of ``node`` — the RPR008 vocabulary, shared with RPR009's scan
-    of hot-closure callees."""
+    body of ``node`` — the RPR008 vocabulary."""
     for stmt in node.body:
         for sub in ast.walk(stmt):
             kind = None
@@ -589,8 +583,8 @@ def lint_paths(paths: list[Path],
     return violations
 
 
-def _add_shared_flags(p: argparse.ArgumentParser) -> None:
-    """Flags common to the lint and flow CLIs (see docs/analysis.md)."""
+def _add_lint_flags(p: argparse.ArgumentParser) -> None:
+    """Reporting flags of the ``lint`` subcommand (see docs/analysis.md)."""
     p.add_argument("--json", action="store_true", dest="as_json",
                    help="emit machine-readable JSON on stdout")
     p.add_argument("--select", default=None, metavar="CODES",
@@ -615,22 +609,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("lint", help="run the per-file AST lint pass")
     p.add_argument("paths", nargs="+", type=Path,
                    help="files or directories to lint")
-    _add_shared_flags(p)
-    f = sub.add_parser(
-        "flow", help="run the whole-program flow pass (RPR009-RPR012)"
-    )
-    f.add_argument("paths", nargs="+", type=Path,
-                   help="package roots to analyse (e.g. src/repro)")
-    _add_shared_flags(f)
-    f.add_argument("--baseline", type=Path, default=None,
-                   help="suppress findings recorded in this baseline "
-                        "file (default: results/flow_baseline.json at "
-                        "the repository root, when present)")
-    f.add_argument("--no-baseline", action="store_true",
-                   help="ignore any baseline, report everything")
-    f.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline file with the current "
-                        "findings and exit 0")
+    _add_lint_flags(p)
     m = sub.add_parser(
         "mutate",
         help="mutation analysis: measure oracle detection power",
@@ -644,12 +623,6 @@ def main(argv: list[str] | None = None) -> int:
         if not path.exists():
             print(f"error: no such path: {path}", file=sys.stderr)
             return EXIT_USAGE
-    if args.command == "flow":
-        # Imported here: the flow engine is heavier than the per-file
-        # pass and `lint` invocations shouldn't pay for it.
-        from repro.analysis.flow import run_flow_cli
-
-        return run_flow_cli(args)
     if args.command == "mutate":
         from repro.analysis.mutate import run_mutate_cli
 

@@ -12,11 +12,13 @@ rewrites (comparisons, counter increments, integer literals,
 
 Pipeline:
 
-1. **Site selection.** The whole-program flow analysis builds the call
-   graph; mutation targets are the functions in the transitive closure
-   of the ``# repro: hot`` markers and the ``@stage_contract`` stages,
-   restricted to the files under the requested roots. Mutants land in
-   code that provably runs every simulated cycle — not dead code.
+1. **Site selection.** Mutation targets are the functions the
+   :data:`TARGETS` table names, restricted to the files under the
+   requested roots: the per-cycle stages and hot helpers, and the few
+   paths around them whose faults the oracles must also see. A test
+   keeps every ``# repro: hot`` and ``@stage_contract`` function of the
+   pipeline in the table, so mutants land in code that runs every
+   simulated cycle — not dead code.
 2. **Mutant identity.** Each site gets a deterministic content-hash id
    over ``(path, node span, operator)``, stable across checkouts.
 3. **Execution.** Each ``(mutant, oracle layer)`` pair becomes a
@@ -121,6 +123,43 @@ PINNED_TESTS: tuple[str, ...] = (
     "tests/test_stats.py",
     "tests/test_stat_accounting.py",
 )
+
+#: The functions mutated, by repository-relative file: the per-cycle
+#: stages and hot helpers, the flush and forwarding paths they call,
+#: and the construction checks and warm-state memo (tests pin the
+#: memo's lock-drop mutants). Qualnames are top-level functions or
+#: ``Class.method``; nested defs are mutated as part of their parent.
+TARGETS: dict[str, tuple[str, ...]] = {
+    "src/repro/pipeline/fu.py": (
+        "FunctionalUnitPool.available",
+        "FunctionalUnitPool.try_claim",
+    ),
+    "src/repro/pipeline/lsq.py": (
+        "LoadStoreQueue.__init__",
+        "LoadStoreQueue.can_forward",
+    ),
+    "src/repro/pipeline/rob.py": (
+        "ReorderBuffer.__init__",
+        "ReorderBuffer.first_order_violation",
+    ),
+    "src/repro/pipeline/smt_core.py": (
+        "SMTProcessor.__init__",
+        "SMTProcessor.step",
+        "SMTProcessor._commit",
+        "SMTProcessor._apply_events",
+        "SMTProcessor._start_execution",
+        "SMTProcessor._issue",
+        "SMTProcessor._dispatch",
+        "SMTProcessor._sample_hdi",
+        "SMTProcessor._rename",
+        "SMTProcessor._flush_all",
+        "SMTProcessor._warm_start",
+        "_remember",
+    ),
+    "src/repro/pipeline/thread.py": (
+        "ThreadState.flush_inflight",
+    ),
+}
 
 #: Relative job costs for longest-job-first ordering.
 _LAYER_COST = {"sanitizer": 3, "stats": 3, "tests": 10}
@@ -481,48 +520,43 @@ def default_baseline_path() -> Path:
 
 
 # ----------------------------------------------------------------------
-# site selection over the flow call graph
+# site selection from the TARGETS table
 # ----------------------------------------------------------------------
+def _defs_by_qual(tree: ast.Module) -> dict[str, ast.AST]:
+    """Top-level functions by name and class methods as ``Class.name``."""
+    defs: dict[str, ast.AST] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defs[f"{node.name}.{sub.name}"] = sub
+    return defs
+
+
 def select_sites(paths: list[Path]) -> list[MutationSite]:
-    """Enumerate mutation sites in the hot/stage closure under ``paths``.
-
-    Builds the flow project over the whole containing package (the
-    call graph needs every module), seeds the closure from every
-    ``# repro: hot`` function and every ``@stage_contract`` stage, and
-    keeps the sites whose file lives under one of the requested roots.
-    The closure code is one nobody suppresses, so no edge is pruned.
-    """
-    from repro.analysis.flow import _closure, build_project
-
+    """Enumerate the mutation sites of the :data:`TARGETS` functions
+    whose file lives under one of ``paths``."""
     repo_root = _repo_root()
-    pkg_root = _package_root(Path(paths[0]))
-    project = build_project([pkg_root])
-    seeds = sorted(
-        (fn for fn in project.funcs.values()
-         if fn.hot or fn.contract is not None),
-        key=lambda fn: fn.uid,
-    )
-    reached = _closure(project, seeds, "RPR999")
-    wanted = []
-    for p in paths:
-        rp = Path(p).resolve()
-        wanted.append(rp)
-    sites: dict[str, MutationSite] = {}
-    for fn, _chain in reached.values():
-        fn_path = Path(fn.path).resolve()
-        if not any(fn_path == w or w in fn_path.parents for w in wanted):
+    wanted = [Path(p).resolve() for p in paths]
+    sites: list[MutationSite] = []
+    for rel, quals in TARGETS.items():
+        path = repo_root / rel
+        if not any(path == w or w in path.parents for w in wanted):
             continue
-        rel = fn_path.relative_to(repo_root).as_posix()
-        for site in sites_for_function(
-            fn.node, rel, fn.module.dotted, fn.qual
-        ):
-            # Nested defs are reachable both as their own FuncInfo and
-            # as descendants of their enclosing function's AST; the
-            # content-hash id collapses the duplicates.
-            sites.setdefault(site.mutant_id, site)
-    return sorted(
-        sites.values(), key=lambda s: (s.path, s.span, s.op, s.slot)
-    )
+        defs = _defs_by_qual(ast.parse(path.read_text(encoding="utf-8")))
+        module = rel.removeprefix("src/").removesuffix(".py")
+        for qual in quals:
+            if qual not in defs:
+                raise ValueError(
+                    f"mutate.TARGETS names {qual!r}, which {rel} "
+                    "does not define"
+                )
+            sites.extend(sites_for_function(
+                defs[qual], rel, module.replace("/", "."), qual
+            ))
+    return sorted(sites, key=lambda s: (s.path, s.span, s.op, s.slot))
 
 
 def sample_ids(ids: list[str], sample: int, seed: int) -> list[str]:

@@ -44,9 +44,11 @@ INVARIANTS = (
 #: shadow checks (see :meth:`PipelineSanitizer.install_contract_checks`)
 #: fingerprint every resource a stage's ``@stage_contract`` does *not*
 #: declare, before and after the stage runs; any difference is a
-#: contract breach. ``stats`` (every stage counts), ``instr`` (walking
-#: all in-flight instructions per stage would swamp the interval
-#: amortisation) and ``config`` (frozen) are left to the static pass.
+#: contract breach. ``stats``, ``config`` and ``instr`` have no probe:
+#: every stage writes ``stats``; ``config`` is frozen, so a write
+#: raises; and every stage declares ``instr`` (commit reads it, the
+#: others write it), which a probe would walk instruction by
+#: instruction.
 _RESOURCE_PROBES = {
     "iq": lambda core: (
         core.iq.occupancy, len(core.iq.ready_heap), len(core.iq.waiting),

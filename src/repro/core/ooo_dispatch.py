@@ -51,7 +51,7 @@ class OutOfOrderDispatch(DispatchPolicy):
                 instr.was_ndi_blocked = True
                 if instr.dest_p >= 0:
                     if tainted is None:
-                        tainted = {instr.dest_p}  # repro: noqa[RPR009] — lazy
+                        tainted = {instr.dest_p}  # lazy: once an NDI is seen
                     else:
                         tainted.add(instr.dest_p)
                 continue
@@ -74,7 +74,7 @@ class OutOfOrderDispatch(DispatchPolicy):
                 tainted.add(instr.dest_p)
             iq.insert(instr, cycle)
             if dispatched is None:
-                dispatched = [i]  # repro: noqa[RPR009] — lazy
+                dispatched = [i]  # lazy: only once something dispatches
             else:
                 dispatched.append(i)
             n += 1
@@ -85,8 +85,8 @@ class OutOfOrderDispatch(DispatchPolicy):
         if dispatched:
             # Guarded by `if dispatched`: pays only on cycles that moved
             # at least one instruction past an NDI.
-            keep = set(dispatched)  # repro: noqa[RPR009]
-            ts.dispatch_buffer = [  # repro: noqa[RPR009]
+            keep = set(dispatched)
+            ts.dispatch_buffer = [
                 ins for j, ins in enumerate(buf) if j not in keep
             ]
         return n
@@ -98,7 +98,7 @@ class OutOfOrderDispatch(DispatchPolicy):
         iq = core.iq
         if self.filtered:
             # Cold diagnostic path: runs only on zero-dispatch cycles.
-            tainted: set[int] = set()  # repro: noqa[RPR009]
+            tainted: set[int] = set()
             for instr in buf:
                 if iq.nonready_count(instr) >= 2:
                     if instr.dest_p >= 0:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from repro.config.machine import MachineConfig
 from repro.metrics.ipc import SimResult
 from repro.trace.profiles import ALL_BENCHMARKS, PROFILES
+from repro.util.validate import check_field_types, check_type
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,6 +57,14 @@ class SimJob:
         object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
         # Reject here, not in a worker: a job that ran with a bad input
         # would fail late or, worse, be cached and journalled.
+        check_field_types(self)
+        check_type("config", self.config, MachineConfig)
+        if self.warmup is not None and (
+            isinstance(self.warmup, bool) or not isinstance(self.warmup, int)
+        ):
+            raise TypeError(
+                f"warmup must be an integer or None, got {self.warmup!r}"
+            )
         if not self.benchmarks:
             raise ValueError("SimJob needs at least one benchmark")
         unknown = [b for b in self.benchmarks if b not in PROFILES]
@@ -152,8 +161,8 @@ class WorkJob:
     the whole farm: LJF scheduling, per-job timeout, the hung-worker
     watchdog, retries, journalling. The work itself is named by
     ``entry`` (``"package.module:function"``); the function receives
-    ``payload`` (a JSON-safe dict — RPR012's pickle-safety rules apply)
-    and should return a picklable value for the worker to ship back.
+    ``payload`` (a JSON-safe dict, so it hashes and pickles) and should
+    return a picklable value for the worker to ship back.
 
     Results are *not* stored in the :class:`~repro.exec.cache
     .ResultCache` (its schema is :class:`SimJob`-shaped); callers that

@@ -24,6 +24,7 @@ import cProfile
 import io
 import pstats
 import time  # repro: noqa[RPR001] — the perf harness measures wall clock
+import weakref
 from dataclasses import dataclass
 
 from repro.analysis.contracts import STAGE_CALLABLES
@@ -87,15 +88,26 @@ def install_stage_timers(core: SMTProcessor) -> dict[str, float]:
     Returns a live dict (stage name -> seconds) that keeps updating as
     the core runs. The wrappers forward ``*args`` untouched, so both
     the ``(cycle)`` stages and the ``(core, cycle)`` fetch entry work.
+
+    A stage that is a method of the class is wrapped as the class's
+    function, reached through a weak reference to the core, so the
+    timers add no reference cycle: a timed core is freed by reference
+    counting as soon as its last user drops it, like an untimed one. A
+    stage already set on the instance (``_fetch_cycle``, or a
+    sanitizer shadow check) is wrapped as it is. A sanitized core stays
+    cyclic by design, because ``PipelineSanitizer.core`` holds it.
     """
     seconds = {name: 0.0 for name in STAGE_NAMES}
     perf_counter = time.perf_counter
+    ref = weakref.ref(core)
     for name in STAGE_NAMES:
-        inner = getattr(core, name)
+        inner = vars(core).get(name)
+        method = getattr(type(core), name) if inner is None else None
 
-        def timed(*args, _inner=inner, _name=name):
+        def timed(*args, _inner=inner, _method=method, _name=name):
             t0 = perf_counter()  # repro: noqa[RPR001] — stage timer
-            out = _inner(*args)
+            out = (_inner(*args) if _method is None
+                   else _method(ref(), *args))
             seconds[_name] += perf_counter() - t0  # repro: noqa[RPR001]
             return out
 

@@ -572,10 +572,10 @@ class SMTProcessor:
                     if len(ts.rob):
                         if watchdog.tick():
                             # Watchdog recovery squashes *everything*:
-                            # exempt from the dispatch contract and the
-                            # hot closure — it fires at most once per
+                            # the sanitizer exempts it from the dispatch
+                            # contract. It fires at most once per
                             # watchdog period.
-                            self._flush_all(cycle)  # repro: noqa[RPR009,RPR011]
+                            self._flush_all(cycle)
                         break
 
     def _sample_hdi(self) -> tuple[int, int]:  # repro: hot
@@ -785,8 +785,8 @@ class SMTProcessor:
         self.cycle = cycle + 1
         sanitizer = self.sanitizer
         if sanitizer is not None and cycle % sanitizer.interval == 0:
-            # Interval-amortised; off the hot closure by construction.
-            sanitizer.check(cycle)  # repro: noqa[RPR009]
+            # Interval-amortised: one check every `interval` cycles.
+            sanitizer.check(cycle)
 
     def run(self, max_insns: int, max_cycles: int = 5_000_000,
             ) -> PipelineStats:

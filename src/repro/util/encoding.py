@@ -1,19 +1,19 @@
 """Byte-stable JSON encoding shared by every committed artifact.
 
-The repository commits machine-written JSON (the perf baseline, the
-flow-analysis baseline, ``--json`` lint output piped into diffs) and
-relies on *byte* stability: re-encoding unchanged data must produce
-the identical file, or every refresh churns the diff and the CI gates
-that compare against committed baselines turn flaky.
+The repository commits machine-written JSON (the perf and mutation
+baselines, ``--json`` lint output piped into diffs) and relies on
+*byte* stability: re-encoding unchanged data must produce the
+identical file, or every refresh churns the diff and the CI gates that
+compare against committed baselines turn flaky.
 
 :func:`stable_dumps` is the single canonical form — sorted keys,
 two-space indent, trailing newline — used by ``repro.perf.bench``
-(``BENCH_sim_speed.json``), the ``repro.analysis`` lint/flow ``--json``
-outputs and ``results/flow_baseline.json``. Callers are responsible
-for normalising value *types* first (``int()``/``float()`` coercion,
-fixed rounding), as ``repro.exec.cache.encode_job_result`` and
-``repro.perf.bench.encode_bench_result`` do; this function fixes the
-serialisation layer on top.
+(``BENCH_sim_speed.json``), the ``repro.analysis`` lint and mutate
+``--json`` outputs and ``results/mutation_baseline.json``. Callers are
+responsible for normalising value *types* first (``int()``/``float()``
+coercion, fixed rounding), as ``repro.exec.cache.encode_job_result``
+and ``repro.perf.bench.encode_bench_result`` do; this function fixes
+the serialisation layer on top.
 """
 
 from __future__ import annotations

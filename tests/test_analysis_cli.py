@@ -1,6 +1,6 @@
-"""Shared analysis-CLI plumbing: ``--select``/``--ignore`` filters,
-``--changed-only`` narrowing, and the exit-code vocabulary (clean /
-regression / usage / stale-baseline) with rebaseline hints.
+"""Shared analysis-CLI plumbing: ``--select``/``--ignore`` filters and
+``--changed-only`` narrowing. The mutation gate's exit codes (new
+survivor, stale baseline) are tested in ``tests/test_mutate.py``.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import pytest
 from repro.analysis.common import (
     EXIT_CLEAN,
     EXIT_REGRESSION,
-    EXIT_STALE_BASELINE,
-    EXIT_USAGE,
     filter_by_code,
     parse_codes,
     restrict_to_changed,
@@ -39,18 +37,6 @@ def write_tree(root: Path, files: dict[str, str]) -> Path:
 LINT_MIXED = {
     "clock.py": "import time\n",
     "swallow.py": "try:\n    work()\nexcept OSError:\n    pass\n",
-}
-
-#: The canonical RPR009 flow fixture: a hot loop calling an allocator.
-FLOW_DIRTY = {
-    "pipeline/loop.py": """\
-        def run(core):  # repro: hot
-            return helper(core)
-
-
-        def helper(core):
-            return [0, 1]
-        """,
 }
 
 
@@ -155,63 +141,3 @@ class TestChangedOnly:
         assert main(["lint", str(repo), "--changed-only",
                      "--base", "no-such-ref"]) == EXIT_REGRESSION
         assert "committed_clock.py" in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
-# flow exit codes: regression hint, stale baseline, filters
-# ----------------------------------------------------------------------
-class TestFlowExitCodes:
-    def test_violation_prints_the_rebaseline_command(self, tmp_path,
-                                                     capsys):
-        root = write_tree(tmp_path, FLOW_DIRTY)
-        assert main(["flow", str(root), "--no-baseline"]) \
-            == EXIT_REGRESSION
-        out = capsys.readouterr().out
-        assert "accept deliberately" in out
-        assert f"python -m repro.analysis flow {root} --update-baseline" \
-            in out
-
-    def test_missing_explicit_baseline_is_a_usage_error(self, tmp_path):
-        root = write_tree(tmp_path, FLOW_DIRTY)
-        missing = tmp_path / "nope.json"
-        assert main(["flow", str(root), "--baseline", str(missing)]) \
-            == EXIT_USAGE
-
-    def test_stale_baseline_exits_three_with_refresh_hint(self, tmp_path,
-                                                          capsys):
-        root = write_tree(tmp_path, FLOW_DIRTY)
-        baseline = tmp_path / "flow_baseline.json"
-        assert main(["flow", str(root), "--baseline", str(baseline),
-                     "--update-baseline"]) == EXIT_CLEAN
-        # The hot-path allocation is fixed; the recorded finding is now
-        # stale and the gate must say so distinctly (exit 3, not 0/1).
-        (root / "pipeline" / "loop.py").write_text(
-            "def run(core):  # repro: hot\n    return 1\n",
-            encoding="utf-8",
-        )
-        capsys.readouterr()
-        assert main(["flow", str(root), "--baseline", str(baseline)]) \
-            == EXIT_STALE_BASELINE
-        out = capsys.readouterr().out
-        assert "stale baseline" in out
-        assert "refresh it" in out
-        assert "--update-baseline" in out
-
-    def test_filtered_view_never_judges_staleness(self, tmp_path, capsys):
-        # A narrowed report cannot see every recorded finding, so it
-        # must not claim the baseline is stale.
-        root = write_tree(tmp_path, FLOW_DIRTY)
-        baseline = tmp_path / "flow_baseline.json"
-        assert main(["flow", str(root), "--baseline", str(baseline),
-                     "--update-baseline"]) == EXIT_CLEAN
-        (root / "pipeline" / "loop.py").write_text(
-            "def run(core):  # repro: hot\n    return 1\n",
-            encoding="utf-8",
-        )
-        assert main(["flow", str(root), "--baseline", str(baseline),
-                     "--select", "RPR009"]) == EXIT_CLEAN
-
-    def test_ignore_filters_flow_findings(self, tmp_path):
-        root = write_tree(tmp_path, FLOW_DIRTY)
-        assert main(["flow", str(root), "--no-baseline",
-                     "--ignore", "RPR009"]) == EXIT_CLEAN

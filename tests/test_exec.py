@@ -127,6 +127,23 @@ class TestSimJobValidation:
         assert tiny_job(warmup=0).warmup == 0
         assert tiny_job().warmup is None
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", True), ("seed", 1.0), ("seed", 1.5), ("seed", "1"),
+        ("max_insns", True), ("max_insns", 300.0),
+        ("max_cycles", 5000.0), ("with_fairness", 1),
+        ("warmup", True), ("warmup", 100.0), ("warmup", "100"),
+        ("config", {"iq_size": 32}),
+    ])
+    def test_rejects_wrongly_typed_fields(self, field, value):
+        # Each used to construct: a bool, float or str seed ran under a
+        # content hash and cache entry of its own, max_insns=True ran a
+        # 1-instruction simulation and max_insns=300.0 failed only
+        # inside the run.
+        fields = {"benchmarks": ("gcc", "mcf"), "config": CFG,
+                  "max_insns": 300, field: value}
+        with pytest.raises(TypeError, match=f"{field} must be"):
+            SimJob(**fields)
+
 
 class TestExecutorConfigValidation:
     @pytest.mark.parametrize("field, value", [

@@ -11,6 +11,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import mutate
+from repro.analysis.common import (
+    EXIT_CLEAN,
+    EXIT_REGRESSION,
+    EXIT_STALE_BASELINE,
+    EXIT_USAGE,
+)
+from repro.analysis.lint import _hot_lines, is_hot_def, main
 from repro.analysis.mutops import (
     OPERATORS,
     SiteNotFound,
@@ -109,7 +116,7 @@ def test_stat_increment_detection_requires_counter_shape():
 
 
 # ----------------------------------------------------------------------
-# site selection over the flow closure
+# site selection from the TARGETS table
 # ----------------------------------------------------------------------
 def test_select_sites_targets_the_hot_closure():
     sites = select_sites([PIPELINE])
@@ -119,6 +126,45 @@ def test_select_sites_targets_the_hot_closure():
     # Determinism: same tree, same enumeration.
     again = select_sites([PIPELINE])
     assert [s.spec() for s in sites] == [s.spec() for s in again]
+
+
+def _has_stage_contract(node: ast.AST) -> bool:
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+        and d.func.id == "stage_contract"
+        for d in node.decorator_list
+    )
+
+
+def test_targets_pin_the_committed_site_universe():
+    """TARGETS spans exactly the committed baseline's universe, and
+    lists every hot or stage-contract function of the pipeline."""
+    baseline = json.loads(
+        (REPO_ROOT / "results" / "mutation_baseline.json")
+        .read_text(encoding="utf-8")
+    )
+    sites = select_sites([PIPELINE])
+    assert len(sites) == baseline["total"]
+    assert sorted({s.path for s in sites}) == baseline["targets"]
+    listed = {(rel, qual) for rel, quals in mutate.TARGETS.items()
+              for qual in quals}
+    missing = []
+    for path in sorted(PIPELINE.rglob("*.py")):
+        rel = path.relative_to(REPO_ROOT).as_posix()
+        source = path.read_text(encoding="utf-8")
+        hot = _hot_lines(source)
+        for qual, node in mutate._defs_by_qual(ast.parse(source)).items():
+            if ((is_hot_def(node, hot) or _has_stage_contract(node))
+                    and (rel, qual) not in listed):
+                missing.append(f"{rel}::{qual}")
+    assert not missing, f"add to mutate.TARGETS: {missing}"
+
+
+def test_a_root_without_targets_has_no_sites(capsys):
+    core = REPO_ROOT / "src" / "repro" / "core"
+    assert select_sites([core]) == []
+    assert main(["mutate", str(core), "--no-cache"]) == EXIT_USAGE
+    assert "no mutation sites" in capsys.readouterr().err
 
 
 def test_sample_is_deterministic_and_seed_sensitive():
@@ -344,6 +390,79 @@ def test_rebaseline_carries_allowlist_reasons_to_moved_mutants():
                          "m_kept": "unmoved"}
     assert carried == [("m_old_lo", "m_new_lo", "first"),
                        ("m_old_hi", "m_new_hi", "second")]
+
+
+# ----------------------------------------------------------------------
+# the CLI gate against a baseline (canned outcomes, no mutant runs)
+# ----------------------------------------------------------------------
+class TestBaselineGate:
+    """``run_mutate_cli``'s decisions, with ``run_cascade`` replaced by
+    canned outcomes: three real sites may survive, the rest die."""
+
+    @pytest.fixture
+    def gate(self, tmp_path, monkeypatch):
+        a, b, c = (s.mutant_id for s in select_sites([PIPELINE])[:3])
+        survivors: set[str] = set()
+
+        def run_cascade(paths, sites, jobs, timeout, cache):
+            outcomes = {}
+            for site in sites:
+                mid = site.mutant_id
+                outcomes[mid] = (
+                    {"outcome": "survived", "killed_by": None,
+                     "detail": "", "mutant": mid}
+                    if mid in survivors else
+                    {"outcome": "killed", "killed_by": "stats",
+                     "detail": "canned", "mutant": mid}
+                )
+            return outcomes, 0, len(sites)
+
+        monkeypatch.setattr(mutate, "run_cascade", run_cascade)
+        baseline = tmp_path / "mutation_baseline.json"
+
+        def run(survive, *flags):
+            survivors.clear()
+            survivors.update(survive)
+            return main(["mutate", str(PIPELINE), "--no-cache",
+                         "--baseline", str(baseline), *flags])
+
+        def record(survive, allowlist=()):
+            assert run(survive, "--update-baseline") == EXIT_CLEAN
+            body = json.loads(baseline.read_text(encoding="utf-8"))
+            body["allowlist"] = {mid: "canned" for mid in allowlist}
+            baseline.write_text(json.dumps(body), encoding="utf-8")
+
+        return a, b, c, run, record
+
+    def test_new_survivor_exits_one_with_its_repro_command(self, gate,
+                                                           capsys):
+        a, b, _, run, record = gate
+        record({a})
+        capsys.readouterr()
+        assert run({a, b}) == EXIT_REGRESSION
+        err = capsys.readouterr().err
+        assert f"mutate {PIPELINE} --only {b} --json" in err
+        assert f"--only {a}" not in err
+
+    def test_recorded_survivor_now_killed_is_a_stale_baseline(self, gate,
+                                                              capsys):
+        a, b, _, run, record = gate
+        record({a, b})
+        capsys.readouterr()
+        assert run({a}) == EXIT_STALE_BASELINE
+        err = capsys.readouterr().err
+        assert "stale baseline" in err and b in err
+        assert f"mutate {PIPELINE} --update-baseline" in err
+
+    def test_require_all_killed_forgives_only_allowlisted_survivors(
+            self, gate, capsys):
+        a, b, c, run, record = gate
+        record({a, b}, allowlist={a, b})
+        assert run({a, b}, "--require-all-killed") == EXIT_CLEAN
+        capsys.readouterr()
+        assert run({a, c}, "--require-all-killed") == EXIT_REGRESSION
+        err = capsys.readouterr().err
+        assert f"--only {c}" in err and f"--only {a}" not in err
 
 
 # ----------------------------------------------------------------------

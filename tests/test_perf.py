@@ -1,7 +1,9 @@
 """The repro.perf layer: bench encoding, the regression gate, and the
 stage timers (which must observe without perturbing results)."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -135,6 +137,26 @@ class TestBenchAndTimers:
         # The loop stepped real cycles, so the busiest stages measured
         # something.
         assert sum(seconds.values()) > 0.0
+
+    def test_timed_core_is_freed_by_reference_counting(self):
+        # With the collector off only reference counting frees a core,
+        # so a timed core that refers to itself outlives its last user.
+        cfg = small_machine(scheduler="2op_ooo")
+        traces = thread_traces(["parser", "vortex"], 300, seed=0,
+                               warmup=100)
+        core = SMTProcessor(cfg, traces, warmup=100)
+        seconds = install_stage_timers(core)
+        core.run(300)
+        freed = weakref.ref(core)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del core
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert sum(seconds.values()) > 0.0  # the timers did run
 
 
 class TestGateCLI:

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.contracts import RESOURCES, STAGE_CALLABLES
+from repro.analysis.contracts import (
+    RESOURCES,
+    STAGE_CALLABLES,
+    STAGE_CONTRACTS,
+)
 from repro.analysis.sanitizer import (
     _RESOURCE_PROBES,
     INVARIANTS,
@@ -314,6 +318,14 @@ class TestWiring:
 # ----------------------------------------------------------------------
 # stage-contract shadow checks
 # ----------------------------------------------------------------------
+class TestContractConsistency:
+    def test_every_stage_callable_has_a_contract(self):
+        assert set(STAGE_CONTRACTS) == set(STAGE_CALLABLES.values())
+        for contract in STAGE_CONTRACTS.values():
+            assert contract.reads <= set(RESOURCES)
+            assert contract.writes <= set(RESOURCES)
+
+
 class TestStageContracts:
     def test_wrappers_installed_on_every_stage_callable(self):
         core = make_core()
@@ -329,9 +341,9 @@ class TestStageContracts:
         assert "contract_checks" not in stats.as_dict()
 
     def test_probes_cover_every_dynamic_resource(self):
-        # stats (every stage counts), instr (too wide per interval) and
-        # config (frozen) are left to the static pass; everything else
-        # must have a fingerprint probe.
+        # No probe for stats (every stage writes it), config (frozen:
+        # a write raises) or instr (every stage declares it); everything
+        # else must have a fingerprint probe.
         assert set(_RESOURCE_PROBES) == (
             set(RESOURCES) - {"stats", "instr", "config"}
         )

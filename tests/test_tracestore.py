@@ -309,7 +309,7 @@ def test_cold_pool_generates_each_slot_trace_once(tmp_path,
     assert report.simulated == len(jobs)
     assert canon(pooled) == canon(serial)
     # One generation per distinct slot trace: the serial run's memo
-    # count, now across a dozen forked workers.
+    # count, now across the 2 forked workers.
     generated = count_generations()[serial_generated:]
     assert len(generated) == len(set(generated)) == serial_generated == 6
     stored = sorted((cache_dir / "traces").iterdir())

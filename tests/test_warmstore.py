@@ -293,7 +293,7 @@ def test_cold_pool_warms_each_mix_once(tmp_path, count_builds):
     )
     assert report.simulated == len(jobs)
     assert canon(pooled) == canon(serial)
-    # One cold build per mix, as in the serial run, now across a dozen
+    # One cold build per mix, as in the serial run, now across the 2
     # forked workers.
     built = count_builds()[serial_builds:]
     assert len(built) == len(set(built)) == serial_builds == 3
