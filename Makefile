@@ -3,7 +3,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test lint check-fast mutate mutate-smoke sanitize-smoke \
+.PHONY: test lint mutate mutate-smoke sanitize-smoke \
 	bench-sanitizer figures figures-parallel cache-clear cache-verify \
 	chaos-smoke profile perf-bench \
 	perf-gate ci
@@ -18,11 +18,6 @@ lint:
 		echo "ruff not installed; skipping (pip install .[lint])"; \
 	fi
 	python -m repro.analysis lint src/repro benchmarks
-
-# Pre-push fast path: the lint pass narrowed to findings in files
-# changed versus main.
-check-fast:
-	python -m repro.analysis lint src/repro benchmarks --changed-only
 
 # Full mutation run over the pipeline functions in mutate.TARGETS:
 # every operator at every site, pushed through the sanitizer → stats →

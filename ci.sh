@@ -57,11 +57,14 @@ cfg = paper_machine(scheduler="2op_ooo").replace(
 traces = thread_traces(["parser", "vortex"], 6000, seed=0, warmup=2000)
 core = SMTProcessor(cfg, traces, warmup=2000)
 stats = core.run(max_insns=6000, max_cycles=5000)
+contract_checks = core.sanitizer.contract_checks
 assert stats.sanitizer_checks > 0, "sanitizer never ran"
+assert contract_checks > 0, "stage-contract checks never ran"
 assert stats.committed_total > 0, "nothing committed"
 print(
     f"ok: {stats.cycles} cycles, {stats.committed_total} committed, "
-    f"{stats.sanitizer_checks} sanitizer checks, no violations"
+    f"{stats.sanitizer_checks} sanitizer checks, {contract_checks} "
+    "stage-contract checks, no violations"
 )
 PY
 

@@ -10,10 +10,10 @@ deadlock-avoidance buffer guarantees forward progress):
   each with an error code, ``# repro: noqa[CODE]`` suppression and a
   machine-readable ``--json`` output;
 * :mod:`repro.analysis.contracts` — the ``@stage_contract`` declarations
-  naming which architectural state each pipeline stage may read and
-  write, enforced by the sanitizer;
-* :mod:`repro.analysis.sanitizer` — a runtime pipeline sanitizer that,
-  when enabled via ``MachineConfig.sanitize=True``, re-validates the
+  naming the architectural state each pipeline stage may change,
+  enforced by the sanitizer;
+* :mod:`repro.analysis.sanitizer` — the pipeline's one runtime checker:
+  when enabled via ``MachineConfig.sanitize=True``, it re-validates the
   microarchitectural invariants every ``sanitize_interval`` cycles inside
   the :class:`~repro.pipeline.smt_core.SMTProcessor` cycle loop and
   raises a structured :class:`~repro.analysis.sanitizer.SanitizerViolation`

@@ -5,18 +5,18 @@ argument about *state ownership*: renaming and ROB/LSQ allocation stay
 in program order because only the rename stage touches the map table
 and free lists, the issue queue may leave program order because only
 dispatch inserts into it, and so on. This module turns that prose into
-one machine-readable declaration per stage::
+one machine-readable declaration per stage, its *write set*::
 
     @stage_contract("commit",
-                    reads=("core", "config", "instr"),
                     writes=("rob", "lsq", "free_list", ...))
     def _commit(self, cycle):  # repro: hot
         ...
 
-:mod:`repro.analysis.sanitizer` enforces it: on sanitized cycles it
+A stage may read anything; it may change only what it declares.
+:mod:`repro.analysis.sanitizer` enforces that: on sanitized cycles it
 sets shadow wrappers of the stage callables as attributes of the core,
-which fingerprint every *undeclared* resource before and after the
-stage runs and raise on any mutation.
+which fingerprint every resource outside the write set before and
+after the stage runs and raise on any change.
 
 The decorator itself is free at runtime: it attaches the contract to
 the function object and returns the function unchanged, so the cycle
@@ -73,26 +73,14 @@ STAGE_CONTRACTS: dict[str, "StageContract"] = {}
 
 @dataclass(frozen=True)
 class StageContract:
-    """Declared state footprint of one pipeline stage."""
+    """Declared write set of one pipeline stage."""
 
     stage: str
-    reads: frozenset[str] = field(default_factory=frozenset)
     writes: frozenset[str] = field(default_factory=frozenset)
 
-    @property
-    def may_read(self) -> frozenset[str]:
-        """Resources the stage may observe (writes imply reads)."""
-        return self.reads | self.writes
 
-    def undeclared(self) -> tuple[str, ...]:
-        """Resources the stage must not touch at all (sorted)."""
-        allowed = self.may_read
-        return tuple(sorted(r for r in RESOURCES if r not in allowed))
-
-
-def stage_contract(stage: str, *, reads: tuple[str, ...] = (),
-                   writes: tuple[str, ...] = ()):
-    """Declare a pipeline stage's access contract.
+def stage_contract(stage: str, *, writes: tuple[str, ...] = ()):
+    """Declare the resources a pipeline stage may change.
 
     Attaches a :class:`StageContract` to the function as
     ``__stage_contract__``, registers it in :data:`STAGE_CONTRACTS`,
@@ -100,15 +88,13 @@ def stage_contract(stage: str, *, reads: tuple[str, ...] = (),
     """
     if stage not in set(STAGE_CALLABLES.values()):
         raise ValueError(f"unknown pipeline stage {stage!r}")
-    unknown = (set(reads) | set(writes)) - set(RESOURCES)
+    unknown = set(writes) - set(RESOURCES)
     if unknown:
         raise ValueError(
             f"stage {stage!r} names unknown resource(s) "
             f"{sorted(unknown)}; declare them in contracts.RESOURCES"
         )
-    contract = StageContract(
-        stage=stage, reads=frozenset(reads), writes=frozenset(writes)
-    )
+    contract = StageContract(stage=stage, writes=frozenset(writes))
 
     def decorate(fn):
         fn.__stage_contract__ = contract

@@ -70,10 +70,7 @@ from repro.analysis.common import (
     EXIT_REGRESSION,
     EXIT_USAGE,
     WALLCLOCK_CALLS,
-    filter_by_code,
     iter_python_files,
-    parse_codes,
-    restrict_to_changed,
 )
 from repro.util.encoding import stable_dumps
 
@@ -566,12 +563,9 @@ def lint_source(source: str, path: str = "<string>",
     return out
 
 
-def lint_paths(paths: list[Path],
-               declared_counters: frozenset[str] | None = None,
-               ) -> list[Violation]:
+def lint_paths(paths: list[Path]) -> list[Violation]:
     """Lint every Python file under the given files/directories."""
-    if declared_counters is None:
-        declared_counters = discover_declared_counters(paths)
+    declared_counters = discover_declared_counters(paths)
     violations: list[Violation] = []
     for root in paths:
         for path in iter_python_files(root):
@@ -581,22 +575,6 @@ def lint_paths(paths: list[Path],
                 declared_counters=declared_counters,
             ))
     return violations
-
-
-def _add_lint_flags(p: argparse.ArgumentParser) -> None:
-    """Reporting flags of the ``lint`` subcommand (see docs/analysis.md)."""
-    p.add_argument("--json", action="store_true", dest="as_json",
-                   help="emit machine-readable JSON on stdout")
-    p.add_argument("--select", default=None, metavar="CODES",
-                   help="comma-separated rule codes to report "
-                        "(e.g. RPR001,RPR007); default: all")
-    p.add_argument("--ignore", default=None, metavar="CODES",
-                   help="comma-separated rule codes to suppress")
-    p.add_argument("--changed-only", action="store_true",
-                   help="only analyse files changed vs "
-                        "`git merge-base HEAD <base>`")
-    p.add_argument("--base", default="main", metavar="REF",
-                   help="base ref for --changed-only (default: main)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -609,7 +587,8 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("lint", help="run the per-file AST lint pass")
     p.add_argument("paths", nargs="+", type=Path,
                    help="files or directories to lint")
-    _add_lint_flags(p)
+    p.add_argument("--json", action="store_true", dest="as_json",
+                   help="emit machine-readable JSON on stdout")
     m = sub.add_parser(
         "mutate",
         help="mutation analysis: measure oracle detection power",
@@ -627,18 +606,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.analysis.mutate import run_mutate_cli
 
         return run_mutate_cli(args)
-    paths = list(args.paths)
-    # RPR003 needs the PipelineStats declarations even when the change
-    # set does not include pipeline/stats.py itself.
-    declared = discover_declared_counters(paths)
-    if args.changed_only:
-        narrowed = restrict_to_changed(paths, args.base)
-        if narrowed is not None:
-            paths = narrowed
-    violations = filter_by_code(
-        lint_paths(paths, declared_counters=declared) if paths else [],
-        parse_codes(args.select), parse_codes(args.ignore),
-    )
+    violations = lint_paths(list(args.paths))
     if args.as_json:
         sys.stdout.write(stable_dumps(
             {

@@ -2,19 +2,22 @@
 
 The paper's correctness argument (§4) is that out-of-order *dispatch* is
 safe because renaming and ROB/LSQ allocation stay in program order, the
-reduced issue queue never holds an entry waiting on two tags, and the
-deadlock-avoidance buffer guarantees forward progress. This module turns
-those prose invariants into machine checks that run *inside* the cycle
-loop, the way an address/thread sanitizer rides along a compiled
-program: enable with ``MachineConfig.sanitize=True`` and every
-``sanitize_interval`` cycles the whole in-flight window is re-validated.
+reduced issue queue never holds an entry waiting on two tags, the
+deadlock-avoidance buffer guarantees forward progress, and each stage
+changes only the state it owns. This module is the pipeline's one
+runtime checker. It turns those prose invariants into machine checks
+that run *inside* the cycle loop, the way an address/thread sanitizer
+rides along a compiled program: enable with
+``MachineConfig.sanitize=True`` and every ``sanitize_interval`` cycles
+the whole in-flight window, each thread's I-Count and the issue queue's
+Little's law are re-validated, and each stage is checked against the
+write set its ``@stage_contract`` declares.
 
-Unlike :meth:`repro.pipeline.smt_core.SMTProcessor.validate` (a
-test-only helper), the sanitizer is stateful across checks — it tracks
-commit watermarks and detects *starvation*, not just instantaneous
-inconsistency — and it raises a structured :class:`SanitizerViolation`
-naming the invariant, cycle, thread and instruction, so fault-injection
-tests and triage scripts can key on the failure precisely.
+The sanitizer is stateful across checks — it tracks commit watermarks
+and detects *starvation*, not just instantaneous inconsistency — and it
+raises a structured :class:`SanitizerViolation` naming the invariant,
+cycle, thread and instruction, so fault-injection tests and triage
+scripts can key on the failure precisely.
 
 With ``sanitize=False`` (the default) the core holds no sanitizer object
 and pays one ``is None`` test per cycle; ``bench_sanitizer_overhead``
@@ -30,25 +33,33 @@ from repro.pipeline.dynamic import DynInstr
 INVARIANTS = (
     "rob-program-order",
     "rename-program-order",
+    "rob-capacity",
     "lsq-alloc-order",
     "iq-capacity",
     "iq-one-comparator",
     "iq-dab-exclusion",
     "wakeup-consistency",
     "issue-starvation",
+    "littles-law",
+    "icount-conservation",
+    "buffer-unscheduled",
     "commit-monotonicity",
     "stage-contract",
 )
 
+#: A ready IQ entry unissued for longer than this many cycles raises
+#: ``issue-starvation`` (generous: normal select latency is tens of
+#: cycles even under full FU contention).
+STARVATION_BOUND = 50_000
+
 #: Resource -> cheap fingerprint of its mutable state. The contract
 #: shadow checks (see :meth:`PipelineSanitizer.install_contract_checks`)
-#: fingerprint every resource a stage's ``@stage_contract`` does *not*
-#: declare, before and after the stage runs; any difference is a
+#: fingerprint every resource outside a stage's ``@stage_contract``
+#: write set, before and after the stage runs; any difference is a
 #: contract breach. ``stats``, ``config`` and ``instr`` have no probe:
 #: every stage writes ``stats``; ``config`` is frozen, so a write
-#: raises; and every stage declares ``instr`` (commit reads it, the
-#: others write it), which a probe would walk instruction by
-#: instruction.
+#: raises; and every stage but commit writes ``instr``, which a probe
+#: would walk instruction by instruction.
 _RESOURCE_PROBES = {
     "iq": lambda core: (
         core.iq.occupancy, len(core.iq.ready_heap), len(core.iq.waiting),
@@ -151,7 +162,6 @@ class PipelineSanitizer:
     __slots__ = (
         "core",
         "interval",
-        "starvation_bound",
         "contract_checks",
         "_prev_cycles",
         "_prev_committed_total",
@@ -163,7 +173,6 @@ class PipelineSanitizer:
         cfg = core.cfg
         self.core = core
         self.interval = cfg.sanitize_interval
-        self.starvation_bound = cfg.sanitize_starvation_bound
         #: Stage-contract shadow checks performed. Kept here, not in
         #: PipelineStats: the sanitizer must not perturb the stats block
         #: it is checking.
@@ -176,18 +185,18 @@ class PipelineSanitizer:
     # ------------------------------------------------------------------
     def install_contract_checks(self) -> None:
         """Wrap the core's stage callables with shadow checks of the
-        ``@stage_contract`` declarations.
+        ``@stage_contract`` write sets.
 
         Uses the same interception as the ``repro.perf`` stage timers:
         the class methods stay untouched, and each stage gets a closure
         set as an attribute of the core, which shadows the method
         ``step()`` would otherwise look up. On sanitizer-gated cycles
         (``cycle % interval == 0``) the closure fingerprints every
-        resource the stage's contract does *not* declare, runs the stage,
+        probed resource outside the stage's write set, runs the stage,
         and raises ``SanitizerViolation("stage-contract", ...)`` if any
-        undeclared resource changed. A watchdog recovery flush inside the
-        stage legitimately rewrites everything, so a check observing a
-        flush (``stats.watchdog_flushes`` moved) is abandoned.
+        of them changed. A watchdog recovery flush inside the stage
+        legitimately rewrites everything, so a check observing a flush
+        (``stats.watchdog_flushes`` moved) is abandoned.
 
         The closures refer to the core, so a sanitizing core is cyclic
         garbage once dropped; a default core is not.
@@ -198,9 +207,8 @@ class PipelineSanitizer:
             if contract is None:
                 continue
             probes = tuple(
-                (res, _RESOURCE_PROBES[res])
-                for res in contract.undeclared()
-                if res in _RESOURCE_PROBES
+                (res, probe) for res, probe in _RESOURCE_PROBES.items()
+                if res not in contract.writes
             )
             if not probes:
                 continue
@@ -219,8 +227,8 @@ class PipelineSanitizer:
                         if probe(_core) != prior:
                             raise SanitizerViolation(
                                 "stage-contract", cycle,
-                                detail=f"stage '{_stage}' mutated "
-                                       f"undeclared resource '{res}'",
+                                detail=f"stage '{_stage}' changed "
+                                       f"'{res}', outside its write set",
                             )
                 _self.contract_checks += 1
                 return result
@@ -234,6 +242,7 @@ class PipelineSanitizer:
         self._check_lsq_alloc_order(cycle)
         self._check_iq(cycle)
         self._check_dab(cycle)
+        self._check_thread_accounting(cycle)
         self._check_commit_monotonicity(cycle)
         self.core.stats.sanitizer_checks += 1
 
@@ -276,7 +285,8 @@ class PipelineSanitizer:
                 )
 
     def _check_iq(self, cycle: int) -> None:
-        """IQ occupancy, comparator budget, wakeup state and starvation."""
+        """IQ occupancy, comparator budget, wakeup state, starvation and
+        Little's law."""
         core = self.core
         iq = core.iq
         if not 0 <= iq.occupancy <= iq.capacity:
@@ -290,12 +300,15 @@ class PipelineSanitizer:
         )
         census = iq.waiting_census()
         resident = 0
-        bound = self.starvation_bound
+        waited = 0
+        now = core.cycle
+        bound = STARVATION_BOUND
         for ts in core.threads:
             for instr in ts.rob:
                 if not instr.in_iq:
                     continue
                 resident += 1
+                waited += now - instr.dispatch_cycle
                 pending = len(iq.nonready_sources(instr))
                 if instr.num_waiting > comparators or pending > comparators:
                     raise SanitizerViolation(
@@ -337,6 +350,22 @@ class PipelineSanitizer:
                 detail=f"IQ occupancy counter {iq.occupancy} != {resident} "
                        "resident in-flight entries",
             )
+        # Little's law over the IQ (Carroll & Lin, arXiv:1807.08586):
+        # every cycle an entry holds counts once in the occupancy
+        # integral, and its stay ends in a residency sample at issue or
+        # is still running. A watchdog flush empties the IQ without a
+        # sample, so the law is checked only until the first one.
+        stats = core.stats
+        if stats.watchdog_flushes == 0 and (
+            iq.occupancy_integral != stats.iq_residency_sum + waited
+        ):
+            raise SanitizerViolation(
+                "littles-law", cycle,
+                detail=f"IQ occupancy integral {iq.occupancy_integral} != "
+                       f"{stats.iq_residency_sum} cycles of issued residency "
+                       f"+ {waited} cycles waited by the {resident} queued "
+                       "entries",
+            )
 
     def _check_dab(self, cycle: int) -> None:
         """DAB bounds, IQ/DAB exclusion and the ROB-oldest readiness."""
@@ -365,6 +394,39 @@ class PipelineSanitizer:
                 detail="DAB entry is not a flagged, unissued instruction "
                        "with all sources ready (ROB-oldest property)",
             )
+
+    def _check_thread_accounting(self, cycle: int) -> None:
+        """ROB bounds, dispatch-buffer state and each thread's I-Count:
+        every fetched, unissued instruction sits in exactly one of the
+        front-end pipe, the dispatch buffer, the IQ and the DAB."""
+        for ts in self.core.threads:
+            rob = ts.rob
+            if len(rob) > rob.capacity:
+                raise SanitizerViolation(
+                    "rob-capacity", cycle, tid=ts.tid,
+                    detail=f"ROB holds {len(rob)} entries but has "
+                           f"{rob.capacity}",
+                )
+            for instr in ts.dispatch_buffer:
+                if instr.in_iq or instr.issued:
+                    raise SanitizerViolation(
+                        "buffer-unscheduled", cycle, tid=ts.tid,
+                        instr=instr,
+                        detail="dispatch-buffered instruction is already "
+                               + ("in the IQ" if instr.in_iq else "issued"),
+                    )
+            scheduled = 0
+            for instr in rob:
+                if instr.in_iq or instr.in_dab:
+                    scheduled += 1
+            held = len(ts.pipe) + len(ts.dispatch_buffer) + scheduled
+            if ts.icount != held:
+                raise SanitizerViolation(
+                    "icount-conservation", cycle, tid=ts.tid,
+                    detail=f"I-Count {ts.icount} != {len(ts.pipe)} in the "
+                           f"front-end pipe + {len(ts.dispatch_buffer)} "
+                           f"buffered + {scheduled} in the IQ or DAB",
+                )
 
     def _check_commit_monotonicity(self, cycle: int) -> None:
         """Committed counts and retirement watermarks never regress."""

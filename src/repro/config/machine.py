@@ -179,10 +179,6 @@ class MachineConfig:
     sanitize: bool = False
     #: Cycles between whole-window sanitizer checks when enabled.
     sanitize_interval: int = 64
-    #: A ready IQ entry unissued for longer than this raises
-    #: ``issue-starvation`` (generous: normal select latency is tens of
-    #: cycles even under full FU contention).
-    sanitize_starvation_bound: int = 50_000
 
     # -- substrates -------------------------------------------------------
     mem: MemoryConfig = field(default_factory=MemoryConfig)
@@ -213,7 +209,6 @@ class MachineConfig:
             "fu_fp_add",
             "fu_fp_muldiv",
             "sanitize_interval",
-            "sanitize_starvation_bound",
         ):
             check_positive(name, getattr(self, name))
         check_range("frontend_depth", self.frontend_depth, 2, 20)

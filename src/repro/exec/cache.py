@@ -94,10 +94,11 @@ class CacheStats:
     total_bytes: int
     #: Quarantined ``*.corrupt`` files awaiting inspection/deletion.
     corrupt: int = 0
-    #: Per-kind breakdown ``(kind, entries, bytes)``: ``sim`` for
-    #: :class:`SimJob` results, the fingerprint ``kind`` for other job
-    #: classes (e.g. ``work``), and ``mutation`` for the mutation
-    #: engine's per-layer outcome store under ``<root>/mutation/``.
+    #: Per-kind breakdown ``(kind, entries, bytes)``: ``sim`` for the
+    #: result entries (the executor caches only :class:`SimJob`
+    #: results), ``mutation`` for the mutation engine's per-layer
+    #: outcome store under ``<root>/mutation/``, and ``trace`` and
+    #: ``warm`` for the slot-trace and warm-state stores.
     by_kind: tuple[tuple[str, int, int], ...] = ()
     #: Cache hits summed over the persisted per-run counter files
     #: (``<root>/runs/<run-id>.json``, written at the end of every
@@ -107,22 +108,6 @@ class CacheStats:
     misses: int = 0
     #: How many per-run counter files the totals aggregate.
     runs: int = 0
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON-safe form (``cache stats --json``)."""
-        return {
-            "root": self.root,
-            "entries": self.entries,
-            "total_bytes": self.total_bytes,
-            "corrupt": self.corrupt,
-            "by_kind": [
-                {"kind": k, "entries": n, "bytes": b}
-                for k, n, b in self.by_kind
-            ],
-            "hits": self.hits,
-            "misses": self.misses,
-            "runs": self.runs,
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,12 +250,9 @@ class ResultCache:
         if self.root.is_dir():
             for path in self.root.glob("*.json"):
                 entries += 1
-                size = path.stat().st_size
-                total += size
-                kind = self._entry_kind(path)
-                bucket = by_kind.setdefault(kind, [0, 0])
-                bucket[0] += 1
-                bucket[1] += size
+                total += path.stat().st_size
+            if entries:
+                by_kind["sim"] = [entries, total]
             corrupt = sum(1 for _ in self.root.glob(f"*{CORRUPT_SUFFIX}"))
             # The mutation engine's per-layer outcome store and the
             # slot-trace and warm-state stores live in subdirectories;
@@ -299,22 +281,6 @@ class ResultCache:
             ),
             hits=hits, misses=misses, runs=runs,
         )
-
-    def _entry_kind(self, path: Path) -> str:
-        """Job kind of one stored entry, from its recorded fingerprint.
-
-        :class:`SimJob` fingerprints predate the ``kind`` discriminator
-        and have none; anything unreadable counts as ``unknown`` (the
-        integrity sweep, not stats, judges corruption).
-        """
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-            job = entry.get("job")
-            if isinstance(job, dict):
-                return str(job.get("kind", "sim"))
-        except (OSError, ValueError):  # repro: noqa[RPR007] — stats never raise on damage
-            pass
-        return "unknown"
 
     def verify(self) -> VerifyReport:
         """Integrity-sweep every entry; quarantine the corrupt ones.

@@ -44,7 +44,6 @@ class FetchUnit:
     # ------------------------------------------------------------------
     @stage_contract(
         "fetch",
-        reads=("config",),
         writes=("thread", "predictor", "memory", "stats", "core", "instr"),
     )
     def fetch_cycle(self, core, cycle: int) -> int:  # repro: hot

@@ -82,10 +82,3 @@ class DynInstr:
             f"DynInstr(t{self.tid}#{self.tseq} {OpClass(self.op).name}"
             f" seq={self.seq} d={self.dest_l} s=({self.src1_l},{self.src2_l}))"
         )
-
-    @property
-    def iq_residency(self) -> int:
-        """Cycles spent in the issue queue (valid once issued)."""
-        if self.issue_cycle < 0 or self.dispatch_cycle < 0:
-            return 0
-        return self.issue_cycle - self.dispatch_cycle

@@ -221,7 +221,6 @@ class SMTProcessor:
     # ------------------------------------------------------------------
     @stage_contract(
         "commit",
-        reads=("core", "config", "instr"),
         writes=("rob", "lsq", "free_list", "memory", "thread", "stats",
                 "core"),
     )
@@ -278,7 +277,6 @@ class SMTProcessor:
 
     @stage_contract(
         "writeback",
-        reads=("core", "config"),
         writes=("events", "ready", "iq", "thread", "predictor", "instr",
                 "core", "stats"),
     )
@@ -356,7 +354,6 @@ class SMTProcessor:
 
     @stage_contract(
         "issue",
-        reads=("core", "config", "ready", "rob"),
         writes=("fu", "iq", "thread", "lsq", "memory", "events", "stats",
                 "dab", "instr"),
     )
@@ -475,7 +472,6 @@ class SMTProcessor:
 
     @stage_contract(
         "dispatch",
-        reads=("core", "config", "rob", "ready"),
         writes=("iq", "thread", "dab", "watchdog", "stats", "instr"),
     )
     def _dispatch(self, cycle: int) -> None:  # repro: hot
@@ -607,7 +603,6 @@ class SMTProcessor:
 
     @stage_contract(
         "rename",
-        reads=("core", "config"),
         writes=("thread", "rob", "lsq", "map_table", "free_list", "ready",
                 "stats", "instr"),
     )
@@ -719,53 +714,6 @@ class SMTProcessor:
         self.fu.reset()
         self.renamer.reset()
         self.stats.watchdog_flushes += 1
-
-    # ------------------------------------------------------------------
-    # invariants (used by the test suite; not called on the hot path)
-    # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Check cross-structure invariants; raises ``AssertionError``.
-
-        Intended for tests and debugging — it walks every in-flight
-        instruction, so it is far too slow to run per cycle in
-        experiments. For periodic in-run checking with structured
-        failures, enable ``MachineConfig.sanitize`` instead
-        (:mod:`repro.analysis.sanitizer`).
-        """
-        in_iq = 0
-        for ts in self.threads:
-            pipe_n = len(ts.pipe)
-            buf_n = len(ts.dispatch_buffer)
-            iq_n = sum(1 for instr in ts.rob if instr.in_iq)
-            dab_n = sum(1 for instr in ts.rob if instr.in_dab)
-            in_iq += iq_n
-            assert ts.icount == pipe_n + buf_n + iq_n + dab_n, (
-                f"thread {ts.tid}: icount {ts.icount} != "
-                f"{pipe_n}+{buf_n}+{iq_n}+{dab_n}"
-            )
-            assert len(ts.rob) <= ts.rob.capacity
-            assert ts.lsq.count <= ts.lsq.capacity
-            for instr in ts.dispatch_buffer:
-                assert not instr.in_iq and not instr.issued, (
-                    f"buffered instruction already scheduled: {instr!r}"
-                )
-            prev = -1
-            for instr in ts.rob:
-                assert instr.tseq > prev, "ROB out of program order"
-                prev = instr.tseq
-        assert in_iq == self.iq.occupancy, (
-            f"IQ occupancy {self.iq.occupancy} != {in_iq} in-flight entries"
-        )
-        for tag, waiters in self.iq.waiting.items():
-            for instr in waiters:
-                if instr.in_iq:
-                    assert instr.num_waiting > 0, (
-                        f"IQ entry waits on ready tag {tag}: {instr!r}"
-                    )
-        if self.dab is not None:
-            assert len(self.dab.entries) <= self.dab.size
-            for instr in self.dab.entries:
-                assert instr.in_dab and not instr.issued
 
     # ------------------------------------------------------------------
     # driver

@@ -125,8 +125,11 @@ class TestWatchdogExpiryEdge:
         return tb.build()
 
     def _cfg(self):
+        # Sanitized: the flushes must pass every check, and the checks
+        # must observe the same cycles with the skip engine on and off.
         return tiny_machine(scheduler="2op_ooo", deadlock_mode="watchdog",
-                            watchdog_cycles=6)
+                            watchdog_cycles=6, sanitize=True,
+                            sanitize_interval=4)
 
     def test_skip_lands_exactly_on_expiry_cycle(self):
         cfg = self._cfg()
@@ -134,6 +137,7 @@ class TestWatchdogExpiryEdge:
         core.ff = _SpyFF(250_000, 15)
         stats = core.run(1000)
         assert stats.watchdog_flushes > 0
+        assert stats.sanitizer_checks > 0
         assert core.ff.skips > 0
         # The binding cap is the expiry: the jump stops with exactly one
         # watchdog cycle left, so the very next (real) step is the

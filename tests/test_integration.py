@@ -30,13 +30,13 @@ class TestGeneratedWorkloads:
         assert r.throughput_ipc > 0
 
     def test_invariants_hold_mid_run(self):
-        cfg = paper_machine(scheduler="2op_ooo", iq_size=32)
+        cfg = paper_machine(scheduler="2op_ooo", iq_size=32, sanitize=True,
+                            sanitize_interval=37)
         traces = thread_traces(["parser", "vortex"], 2000, 0, 3000)
         core = SMTProcessor(cfg, traces, warmup=3000)
-        for i in range(600):
+        for _ in range(600):
             core.step()
-            if i % 37 == 0:
-                core.validate()
+        assert core.stats.sanitizer_checks > 0
 
     def test_identical_streams_across_schedulers(self):
         """All schedulers must fetch the same architectural stream; the

@@ -207,16 +207,15 @@ class TestSimulatorProperties:
     def test_any_trace_completes_with_invariants(self, trace, scheduler):
         """Every random program must commit fully, under every scheduler,
         with structural invariants intact — no deadlock, no leak."""
-        cfg = tiny_machine(scheduler=scheduler)
+        cfg = tiny_machine(scheduler=scheduler, sanitize=True,
+                           sanitize_interval=16)
         core = SMTProcessor(cfg, [trace])
         guard = 0
         while not core.threads[0].drained:
             core.step()
             guard += 1
-            if guard % 16 == 0:
-                core.validate()
             assert guard < 60_000, "simulation failed to drain"
-        core.validate()
+        core.sanitizer.check(core.cycle)
         assert core.stats.committed_total == len(trace.op)
         assert core.stats.fetched == len(trace.op)
 

@@ -16,6 +16,7 @@ from repro.analysis.contracts import (
     STAGE_CALLABLES,
     STAGE_CONTRACTS,
 )
+from repro.analysis import sanitizer
 from repro.analysis.sanitizer import (
     _RESOURCE_PROBES,
     INVARIANTS,
@@ -254,8 +255,9 @@ class TestFaultInjection:
         v = expect_violation(core, "wakeup-consistency")
         assert v.invariant == "wakeup-consistency"
 
-    def test_issue_starvation(self):
-        core = make_core(sanitize_starvation_bound=1)
+    def test_issue_starvation(self, monkeypatch):
+        monkeypatch.setattr(sanitizer, "STARVATION_BOUND", 1)
+        core = make_core()
         step_until(core, lambda c: bool(iq_waiting(c)) and c.cycle > 10)
         instr = iq_waiting(core)[0]
         for tag, waiters in list(core.iq.waiting.items()):
@@ -263,6 +265,40 @@ class TestFaultInjection:
         instr.num_waiting = 0
         instr.dispatch_cycle = 0
         v = expect_violation(core, "issue-starvation")
+        assert v.instr is instr
+
+    def test_rob_capacity(self):
+        core = make_core()
+        step_until(core, lambda c: len(c.threads[1].rob) >= 2)
+        core.threads[1].rob.capacity = len(core.threads[1].rob) - 1
+        v = expect_violation(core, "rob-capacity")
+        assert v.tid == 1
+
+    def test_littles_law(self):
+        core = make_core()
+        step_until(core, lambda c: c.iq.occupancy > 0)
+        core.iq.occupancy_integral += 1
+        expect_violation(core, "littles-law")
+
+    def test_littles_law_counts_issued_residency(self):
+        core = make_core()
+        step_until(core, lambda c: c.stats.iq_residency_count > 0)
+        core.stats.iq_residency_sum -= 1
+        expect_violation(core, "littles-law")
+
+    def test_icount_conservation(self):
+        core = make_core()
+        step_until(core, lambda c: c.threads[0].icount > 0)
+        core.threads[0].icount += 1
+        v = expect_violation(core, "icount-conservation")
+        assert v.tid == 0
+
+    def test_buffered_instruction_already_issued(self):
+        core = make_core()
+        step_until(core, lambda c: bool(c.threads[0].dispatch_buffer))
+        instr = core.threads[0].dispatch_buffer[0]
+        instr.issued = True
+        v = expect_violation(core, "buffer-unscheduled")
         assert v.instr is instr
 
     def test_commit_total_regression(self):
@@ -322,7 +358,6 @@ class TestContractConsistency:
     def test_every_stage_callable_has_a_contract(self):
         assert set(STAGE_CONTRACTS) == set(STAGE_CALLABLES.values())
         for contract in STAGE_CONTRACTS.values():
-            assert contract.reads <= set(RESOURCES)
             assert contract.writes <= set(RESOURCES)
 
 
@@ -342,8 +377,8 @@ class TestStageContracts:
 
     def test_probes_cover_every_dynamic_resource(self):
         # No probe for stats (every stage writes it), config (frozen:
-        # a write raises) or instr (every stage declares it); everything
-        # else must have a fingerprint probe.
+        # a write raises) or instr (every stage but commit writes it);
+        # everything else must have a fingerprint probe.
         assert set(_RESOURCE_PROBES) == (
             set(RESOURCES) - {"stats", "instr", "config"}
         )
@@ -398,3 +433,34 @@ class TestStageContracts:
             lambda c: c.renamer.int_free._free.append(0),
         )
         self._expect_contract_violation(core, "dispatch", "free_list")
+
+    @pytest.mark.parametrize("attr, resource", [
+        ("_rename", "core"),
+        ("_dispatch", "core"),
+        ("_dispatch", "ready"),
+        ("_dispatch", "rob"),
+        ("_issue", "core"),
+        ("_issue", "ready"),
+        ("_issue", "rob"),
+    ], ids=lambda v: v.lstrip("_"))
+    def test_write_to_a_resource_the_stage_only_reads_is_caught(
+            self, attr, resource):
+        """A stage may read anything but change only its write set.
+        The stages read these resources, so only the write set tells
+        the checks that they must not change them."""
+        stage = STAGE_CALLABLES[attr]
+        assert resource not in STAGE_CONTRACTS[stage].writes
+
+        def bump_seq(c):
+            c._seq += 1
+
+        def flip_ready(c):
+            c.renamer.ready[1] ^= 1
+
+        def grow_rob(c):
+            c.threads[0].rob._entries.append(fake_instr())
+
+        mutate = {"core": bump_seq, "ready": flip_ready,
+                  "rob": grow_rob}[resource]
+        core = self._core_with_rogue_stage(attr, mutate)
+        self._expect_contract_violation(core, stage, resource)

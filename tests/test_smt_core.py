@@ -20,6 +20,13 @@ def run_core(traces, cfg=None, max_insns=10_000):
     return core, stats
 
 
+def sanitized(cfg=None, interval=1):
+    """``cfg`` (default: the small machine) with the sanitizer checking
+    every ``interval`` cycles."""
+    return (cfg or small_machine()).replace(sanitize=True,
+                                            sanitize_interval=interval)
+
+
 def run_recorded(trace, cfg=None, max_insns=10_000):
     """Run one thread; returns (every fetched instruction, stats)."""
     core = SMTProcessor(cfg or small_machine(), [trace])
@@ -163,8 +170,9 @@ class TestFrontEnd:
 
     def test_icount_counts_are_consistent(self):
         trace = TraceBuilder().nops(50).build()
-        core, _ = run_core(trace)
-        core.validate()
+        _, stats = run_core(trace, sanitized())
+        assert stats.committed_total == 50
+        assert stats.sanitizer_checks == stats.cycles
 
 
 class TestMultiThread:
@@ -187,10 +195,11 @@ class TestMultiThread:
     def test_commit_is_per_thread_in_order(self):
         t0 = TraceBuilder().nops(100).build()
         t1 = TraceBuilder().nops(100).build()
-        core, _ = run_core([t0, t1])
-        # Completion may be out of order; commit order is asserted
-        # structurally by ReorderBuffer, checked via validate().
-        core.validate()
+        # Completion may be out of order; the sanitizer checks every
+        # cycle that each ROB stays in program order.
+        _, stats = run_core([t0, t1], sanitized())
+        assert stats.committed == [100, 100]
+        assert stats.sanitizer_checks == stats.cycles
 
     def test_determinism(self):
         def one_run():
@@ -366,9 +375,10 @@ class TestDeadlockMachinery:
             tb.ialu(dest=3 + (i % 4), src1=1, src2=2)  # all NDIs
         cfg = small_machine(scheduler="2op_ooo", deadlock_mode="watchdog",
                             watchdog_cycles=20)
-        core, stats = run_core(tb.build(), cfg)
+        core, stats = run_core(tb.build(), sanitized(cfg))
         assert stats.watchdog_flushes >= 1
         assert stats.committed_total == 12
+        assert stats.sanitizer_checks > 0
 
     def test_buffer_mode_runs_without_flushes(self):
         trace = TraceBuilder().nops(100).build()
@@ -381,14 +391,14 @@ class TestInvariants:
     @pytest.mark.parametrize("sched", ["traditional", "2op_block",
                                        "2op_ooo"])
     def test_validate_holds_throughout_run(self, sched):
-        cfg = small_machine(scheduler=sched)
+        """Every sanitizer check passes on a mixed workload."""
+        cfg = sanitized(small_machine(scheduler=sched), interval=7)
         t0 = self._mixed_trace()
         t1 = self._mixed_trace()
         core = SMTProcessor(cfg, [t0, t1])
         for _ in range(400):
             core.step()
-            if core.cycle % 7 == 0:
-                core.validate()
+        assert core.stats.sanitizer_checks == 400 // 7 + 1
 
     @staticmethod
     def _mixed_trace():

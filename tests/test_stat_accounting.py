@@ -61,11 +61,12 @@ class TestLittlesLaw:
         of every IQ issue plus the time the entries still in the IQ
         have waited so far: each entry is counted once per cycle it
         holds, whichever stage, fast-forward span or DAB rescue ends
-        its stay."""
+        its stay. The sanitizer checks the same law on the way."""
         traces = thread_traces(list(mix), 4000, 0, 2000)
-        core = SMTProcessor(paper_machine(scheduler=sched, iq_size=32),
-                            traces, warmup=2000, fast_forward=ff)
+        cfg = paper_machine(scheduler=sched, iq_size=32, sanitize=True)
+        core = SMTProcessor(cfg, traces, warmup=2000, fast_forward=ff)
         stats = core.run(4000)
+        assert stats.sanitizer_checks > 0
         queued = sum(core.cycle - instr.dispatch_cycle
                      for ts in core.threads for instr in ts.rob
                      if instr.in_iq)
